@@ -1,73 +1,20 @@
-"""Bipartite representation of a graph and distance-2 colorings.
+"""Distance-2 colorings and constraint splitting on bipartite hosts.
 
 Splitting each node into a constraint copy (left) and a value copy (right)
 turns the domination constraints into a bipartite covering problem whose
 square admits colorings with far fewer colors than the square of the original
-graph.
+graph.  The degree-parameterized wrappers build these hosts; this module
+colors them and splits high-degree constraint nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 from .graph import Graph
-from .values import CFDS, ZERO, log_star
-
-
-@dataclass
-class BipartiteRep:
-    """Double cover of a graph: left ids 0..n-1 (constraints), right n..2n-1 (values).
-
-    Edge (u_L, v_R) exists iff v is in u's inclusive neighborhood.  The CFDS
-    carries x on the right side and c on the left side, zero elsewhere.
-    """
-
-    graph: Graph
-    n_orig: int
-    x: Dict[int, Fraction]
-    c: Dict[int, Fraction]
-
-    def left(self, v: int) -> int:
-        return v
-
-    def right(self, v: int) -> int:
-        return self.n_orig + v
-
-    def is_left(self, b: int) -> bool:
-        return b < self.n_orig
-
-    def orig(self, b: int) -> int:
-        return b if b < self.n_orig else b - self.n_orig
-
-    def left_nodes(self) -> range:
-        return range(self.n_orig)
-
-    def right_nodes(self) -> range:
-        return range(self.n_orig, 2 * self.n_orig)
-
-    def cfds(self) -> CFDS:
-        return CFDS(x=dict(self.x), c=dict(self.c))
-
-
-def bipartite_representation(graph: Graph, d: CFDS) -> BipartiteRep:
-    """Build the bipartite representation of (graph, d)."""
-    if set(d.x) != set(range(graph.n)):
-        raise DomainError("CFDS node set must match the graph")
-    n = graph.n
-    edges = []
-    for v in range(n):
-        for u in graph.closed_neighbors(v):
-            edges.append((v, n + u))  # v_L -- u_R
-    bg = Graph(2 * n, edges)
-    x = {b: ZERO for b in range(2 * n)}
-    c = {b: ZERO for b in range(2 * n)}
-    for v in range(n):
-        x[n + v] = d.x[v]
-        c[v] = d.c[v]
-    return BipartiteRep(graph=bg, n_orig=n, x=x, c=c)
+from .values import log_star
 
 
 @dataclass
@@ -119,19 +66,6 @@ def greedy_distance2_coloring(
     return Coloring(color=color, num_colors=num_colors)
 
 
-def coloring_side(bip: BipartiteRep, side: str) -> Coloring:
-    """Distance-2 color one side ('left' or 'right') of a bipartite rep."""
-    if side == "left":
-        nodes: Sequence[int] = list(bip.left_nodes())
-    elif side == "right":
-        nodes = list(bip.right_nodes())
-    else:
-        raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    if not nodes:
-        raise PreconditionError("requested side is empty")
-    return greedy_distance2_coloring(bip.graph, nodes)
-
-
 def coloring_violations(graph: Graph, coloring: Coloring) -> List[Tuple[int, int]]:
     """Same-colored pairs at distance <= 2, found by a BFS oracle."""
     bad = []
@@ -144,15 +78,9 @@ def coloring_violations(graph: Graph, coloring: Coloring) -> List[Tuple[int, int
     return bad
 
 
-def coloring_round_cost(
-    delta_l: int, delta_r: int, n: int, cost_model: str = "congest"
-) -> int:
-    """Charged cost of the cited distributed distance-2 coloring algorithm."""
-    if cost_model == "congest":
-        return delta_l * delta_r + delta_l * log_star(n)
-    if cost_model == "local":
-        return delta_l * delta_r + log_star(n)
-    raise DomainError(f"unknown cost model {cost_model!r}")
+def coloring_round_cost(delta_l: int, delta_r: int, n: int) -> int:
+    """Charged CONGEST cost of the cited distributed distance-2 coloring algorithm."""
+    return delta_l * delta_r + delta_l * log_star(n)
 
 
 @dataclass
@@ -165,20 +93,8 @@ class SplitBipartite:
     """
 
     graph: Graph
-    n_orig: int
-    s: int
-    right_of: Dict[int, int]
     left_copies: Dict[int, List[int]]
     left_origin: Dict[int, Tuple[int, int]]
-    x: Dict[int, Fraction] = field(default_factory=dict)
-    c: Dict[int, Fraction] = field(default_factory=dict)
-    p: Dict[int, Fraction] = field(default_factory=dict)
-
-    def right_nodes(self) -> range:
-        return range(self.n_orig)
-
-    def left_nodes(self) -> range:
-        return range(self.n_orig, self.graph.n)
 
 
 def split_left_nodes(
@@ -200,7 +116,6 @@ def split_left_nodes(
         raise DomainError(f"split parameter s must be >= 1, got {s}")
     n = graph.n
     edges: List[Tuple[int, int]] = []
-    right_of = {v: v for v in range(n)}
     left_copies: Dict[int, List[int]] = {}
     left_origin: Dict[int, Tuple[int, int]] = {}
     next_id = n
@@ -230,9 +145,6 @@ def split_left_nodes(
         left_copies[v] = ids
     return SplitBipartite(
         graph=Graph(next_id, edges),
-        n_orig=n,
-        s=s,
-        right_of=right_of,
         left_copies=left_copies,
         left_origin=left_origin,
     )

@@ -1,7 +1,6 @@
 """Connected dominating sets from dominating sets.
 
-Starting from a dominating set S, nodes of S at distance at most 3 form the
-auxiliary graph G_S (connected iff G is).  A ruling subset of S seeds a BFS
+Starting from a dominating set S, a ruling subset of S seeds a BFS
 clustering of S; pruned cluster trees plus short connector paths between
 clusters yield a connected superset S-bar of size at most 3|S| plus two
 nodes per inter-cluster connection.
@@ -10,7 +9,7 @@ nodes per inter-cluster connection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -29,78 +28,6 @@ def is_dominating(graph: Graph, S: Sequence[int]) -> bool:
         covered.add(v)
         covered.update(graph.adj[v])
     return len(covered) == graph.n
-
-
-# -- the distance-3 auxiliary graph -----------------------------------------
-
-
-@dataclass
-class GsGraph:
-    """Auxiliary graph on S: edges between S-nodes within 3 hops, with witnesses."""
-
-    nodes: List[int]
-    witness: Dict[Tuple[int, int], List[int]]  # (u, v) with u < v -> path u..v
-
-    def neighbors(self, u: int) -> List[int]:
-        out = []
-        for a, b in self.witness:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
-
-    def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        adj: Dict[int, Set[int]] = {v: set() for v in self.nodes}
-        for a, b in self.witness:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.nodes)
-
-
-def _lex_shortest_paths(graph: Graph, src: int, limit: int) -> Dict[int, List[int]]:
-    """Lexicographically smallest shortest path (as a node tuple) to each node
-    within *limit* hops."""
-    best: Dict[int, Tuple[int, ...]] = {src: (src,)}
-    frontier = {src: (src,)}
-    for _ in range(limit):
-        nxt: Dict[int, Tuple[int, ...]] = {}
-        for u in sorted(frontier):
-            path = frontier[u]
-            for w in graph.adj[u]:
-                if w in best:
-                    continue
-                cand = path + (w,)
-                if w not in nxt or cand < nxt[w]:
-                    nxt[w] = cand
-        best.update(nxt)
-        frontier = nxt
-    return {v: list(p) for v, p in best.items()}
-
-
-def gs_graph(graph: Graph, S: Sequence[int]) -> GsGraph:
-    """Connect S-nodes within 3 hops; witness = lex-smallest shortest path."""
-    S = sorted(set(S))
-    if not is_dominating(graph, S):
-        raise PreconditionError("S must be a dominating set")
-    s_set = set(S)
-    witness: Dict[Tuple[int, int], List[int]] = {}
-    for u in S:
-        paths = _lex_shortest_paths(graph, u, 3)
-        for v, path in paths.items():
-            if v in s_set and u < v:
-                witness[(u, v)] = path
-    return GsGraph(nodes=S, witness=witness)
 
 
 # -- ruling subsets ----------------------------------------------------------

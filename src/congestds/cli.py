@@ -5,10 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from typing import List, Optional
 
 from .errors import (
-    CongestDSError,
     DomainError,
     EnumerationBudgetError,
     InvariantViolation,
@@ -16,7 +16,7 @@ from .errors import (
     PreconditionError,
     RoundBudgetError,
 )
-from .graph import Graph, format_graph, load_graph
+from .graph import format_graph, load_graph
 from .oracles import brute_force_cds, brute_force_mds
 from .cds import is_dominating
 from .generators import generate_graph
@@ -33,13 +33,21 @@ EXIT_INVARIANT = 2
 EXIT_PRECONDITION = 3
 
 
+def _exact_number(text: str) -> Fraction:
+    """An exact rational from a decimal or p/q string."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact number: {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="graph file")
-    p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--cost-model", choices=("congest", "local"), default="congest")
-    p.add_argument("--beta", type=int, default=32)
+    p.add_argument(
+        "--epsilon", type=_exact_number, default=Fraction(1, 2),
+        help="approximation parameter in (0, 1], e.g. 0.1 or 1/3",
+    )
     p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", choices=("json", "text"), default="text")
     p.add_argument("--opt-cap", type=int, default=DEFAULT_OPT_CAP)
 
@@ -100,8 +108,6 @@ def _cmd_pipeline(args) -> int:
     result, report = runner(
         graph, args.epsilon, budget=args.enum_budget, opt_cap=args.opt_cap
     )
-    report.params["cost_model"] = args.cost_model
-    report.params["beta"] = args.beta
     report.extras["nodes"] = result
     _emit_report(report, args.report)
     return EXIT_OK

@@ -10,7 +10,7 @@ cost is charged per the cited distributed construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .errors import DomainError, StructuralError
@@ -49,19 +49,6 @@ class NetworkDecomposition:
     @property
     def num_colors(self) -> int:
         return max(self.color.values(), default=0)
-
-    def cluster_of(self) -> Dict[int, Cluster]:
-        out: Dict[int, Cluster] = {}
-        for cl in self.clusters:
-            for v in cl.members:
-                out[v] = cl
-        return out
-
-    def classes(self) -> List[List[Cluster]]:
-        out: List[List[Cluster]] = [[] for _ in range(self.num_colors)]
-        for cl in sorted(self.clusters, key=lambda c: c.leader):
-            out[self.color[cl.leader] - 1].append(cl)
-        return out
 
 
 def decomposition_charge(n: int, k: int) -> int:

@@ -8,10 +8,9 @@ quantized conditional expectations of the two branch values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .coins import CoinSource
 from .decomp import (
@@ -20,7 +19,7 @@ from .decomp import (
     compute_decomposition,
     validate_decomposition,
 )
-from .errors import DomainError, InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
 from .rounding import (
     DEFAULT_ENUM_BUDGET,
@@ -30,7 +29,8 @@ from .rounding import (
     PartialAssignment,
     RoundingInstance,
     SeededCoinLaw,
-    conditional_expected_value,
+    _check_fractional,
+    branch_sum,
     expected_output_size,
     factor_two_instance,
     one_shot_instance,
@@ -38,8 +38,6 @@ from .rounding import (
 )
 from .values import (
     CFDS,
-    ONE,
-    ZERO,
     ceil_to_multiple,
     fractionality,
     iota_for,
@@ -211,13 +209,7 @@ def derandomize_clusterwise(
                 for branch in (0, 1):
                     trial = assignment.copy()
                     trial.fix_bit(group, bit_index, branch)
-                    total = ZERO
-                    for u in affected:
-                        alpha = conditional_expected_value(
-                            inst, law, u, trial, budget
-                        )
-                        total += ceil_to_multiple(alpha, unit) if alpha > 0 else ZERO
-                    sums[branch] = total
+                    sums[branch] = branch_sum(inst, law, affected, trial, unit, budget)
                 value = 0 if sums[0] < sums[1] else 1
                 assignment.fix_bit(group, bit_index, value)
                 aggregated += 1
@@ -268,14 +260,6 @@ def derandomize_clusterwise(
 # -- n-parameterized wrappers ------------------------------------------------
 
 
-def _check_fractional(xprime: CFDS, r: int, label: str) -> None:
-    for v, val in xprime.x.items():
-        if val > 0 and val < Fraction(1, r):
-            raise PreconditionError(
-                f"{label}: x'({v}) = {val} below the required fractionality 1/{r}"
-            )
-
-
 def n_one_shot(
     graph: Graph,
     xprime: CFDS,
@@ -295,10 +279,10 @@ def n_one_shot(
     inst = one_shot_instance(graph, xprime)
     if decomp is None:
         decomp = compute_decomposition(graph, 2)
-    # any k >= F suffices; requesting full independence selects the
+    # any k >= F suffices; k = n covers every cluster, which selects the
     # closed-form per-coin law instead of shared-seed enumeration
     outcome = derandomize_clusterwise(
-        inst, decomp, indep=max(F, graph.n), budget=budget, verify=verify
+        inst, decomp, indep=graph.n, budget=budget, verify=verify
     )
     result = outcome.result
     if not result.is_integral():
@@ -338,11 +322,10 @@ def n_factor_two(
     inst = factor_two_instance(graph, xprime, eps, r)
     if decomp is None:
         decomp = compute_decomposition(graph, 2)
-    # any k >= 8 ln Delta~ suffices; full independence keeps expectations
-    # in closed form
-    indep = max(1, math.ceil(8 * float(ln_dt)), graph.n)
+    # any k >= 8 ln Delta~ suffices; k = n covers every cluster, which
+    # keeps expectations in closed form
     outcome = derandomize_clusterwise(
-        inst, decomp, indep=indep, budget=budget, verify=verify
+        inst, decomp, indep=graph.n, budget=budget, verify=verify
     )
     result = outcome.result
     bad = validate_cfds(graph, result)

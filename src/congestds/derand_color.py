@@ -15,34 +15,29 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .bipartite import (
-    BipartiteRep,
     Coloring,
-    bipartite_representation,
     coloring_round_cost,
     coloring_violations,
     greedy_distance2_coloring,
+    split_left_nodes,
 )
-from .errors import DomainError, InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
 from .rounding import (
     DEFAULT_ENUM_BUDGET,
-    CoinLaw,
     IndependentCoinLaw,
     PartialAssignment,
     RoundingInstance,
-    conditional_expected_value,
+    _check_fractional,
+    branch_sum,
     expected_output_size,
-    factor_two_instance,
-    one_shot_instance,
-    phase1,
-    phase2,
     run_phases,
+    scale_values,
 )
 from .values import (
     CFDS,
     ONE,
     ZERO,
-    ceil_to_multiple,
     fractionality,
     iota_for,
     ln_upper,
@@ -71,21 +66,6 @@ class DerandOutcome:
     initial_expectation: Optional[Fraction] = None
     expectation_log: List[Fraction] = field(default_factory=list)
     charged_rounds: int = 0
-
-
-def _alpha_sum(
-    inst: RoundingInstance,
-    law: CoinLaw,
-    nodes,
-    assignment: PartialAssignment,
-    unit: Fraction,
-    budget: int,
-) -> Fraction:
-    total = ZERO
-    for u in nodes:
-        alpha = conditional_expected_value(inst, law, u, assignment, budget)
-        total += ceil_to_multiple(alpha, unit) if alpha > 0 else ZERO
-    return total
 
 
 def derandomize_colorwise(
@@ -128,7 +108,7 @@ def derandomize_colorwise(
             for branch in (0, 1):
                 trial = assignment.copy()
                 trial.fix_coin(v, branch)
-                sums[branch] = _alpha_sum(inst, law, affected, trial, unit, budget)
+                sums[branch] = branch_sum(inst, law, affected, trial, unit, budget)
             coin = 1 if sums[1] < sums[0] else 0
             assignment.fix_coin(v, coin)
             decisions.append(
@@ -160,14 +140,6 @@ def derandomize_colorwise(
 
 
 # -- degree-parameterized wrappers ------------------------------------------
-
-
-def _check_fractional(xprime: CFDS, r: int, label: str) -> None:
-    for v, val in xprime.x.items():
-        if val > 0 and val < Fraction(1, r):
-            raise PreconditionError(
-                f"{label}: x'({v}) = {val} below the required fractionality 1/{r}"
-            )
 
 
 def _covering_sets(graph: Graph, xprime: CFDS, cap: int) -> Dict[int, List[int]]:
@@ -219,17 +191,13 @@ def delta_one_shot(
     covering = _covering_sets(graph, xprime, F)
     edges = [(v, n + u) for v in range(n) for u in covering[v]]
     host = Graph(2 * n, edges)
-    ln_dt = ln_upper(dt)
+    scaled, _ = scale_values(xprime, ln_upper(dt), 2 * n)
     x = {b: ZERO for b in range(2 * n)}
     p = {b: ZERO for b in range(2 * n)}
     c = {b: ZERO for b in range(2 * n)}
-    from .values import quantize_up
-
     for v in range(n):
-        val = xprime.x[v] * ln_dt
-        scaled = ONE if val >= 1 else Fraction(quantize_up(val, 2 * n))
-        x[n + v] = scaled
-        p[n + v] = scaled
+        x[n + v] = scaled[v]
+        p[n + v] = scaled[v]
         c[v] = ONE
     inst = RoundingInstance(graph=host, x=x, p=p, c=c, ambient_n=2 * n)
     S = inst.participating()
@@ -270,9 +238,6 @@ def delta_factor_two(
     constraint sees enough independent mass.  Split constraints use
     c = min{1, sum of incident x'}.
     """
-    from .bipartite import split_left_nodes
-    from .values import quantize_up
-
     eps = Fraction(eps)
     if eps <= 0 or eps > 1:
         raise PreconditionError(f"eps must be in (0, 1], got {eps}")
@@ -286,13 +251,7 @@ def delta_factor_two(
             f"need r >= 256 * eps^-3 * ln Delta~ = {float(256 * eps**-3 * ln_dt):.1f}, got {r}"
         )
     n = graph.n
-    threshold = Fraction(2, r)
-    x_orig: Dict[int, Fraction] = {}
-    p_orig: Dict[int, Fraction] = {}
-    for v in range(n):
-        val = (1 + eps) * xprime.x[v]
-        x_orig[v] = ONE if val >= 1 else Fraction(quantize_up(val, 2 * n))
-        p_orig[v] = Fraction(1, 2) if x_orig[v] < threshold else ONE
+    x_orig, p_orig = scale_values(xprime, 1 + eps, 2 * n, r)
     part_nodes = {v for v in range(n) if p_orig[v] == Fraction(1, 2)}
     s = math.ceil(64 * eps**-2 * ln_dt)
     participating = {
@@ -335,7 +294,7 @@ def delta_factor_two(
     bad = validate_cfds(graph, result)
     if bad:
         raise InvariantViolation(f"factor-two output not dominating at {bad}")
-    floor = min(threshold, Fraction(1, math.ceil(256 * eps**-3 * float(ln_dt))))
+    floor = min(Fraction(2, r), Fraction(1, math.ceil(256 * eps**-3 * float(ln_dt))))
     if fractionality(result) < floor:
         raise InvariantViolation(
             f"factor-two output fractionality {fractionality(result)} below {floor}"

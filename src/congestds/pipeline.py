@@ -1,9 +1,15 @@
 """End-to-end dominating-set pipelines and machine-readable run reports.
 
-Both pipelines share three parts: an LP-based fractional start, a sequence
-of fractionality-doubling stages, and a final one-shot rounding to an
-integral set.  The n-parameterized variant derandomizes over a network
-decomposition; the degree-parameterized variant over bipartite colorings.
+Both pipelines go from an LP-based fractional start straight to a one-shot
+rounding to an integral set.  The n-parameterized variant derandomizes over
+a network decomposition; the degree-parameterized variant over bipartite
+colorings.
+
+The paper puts fractionality-doubling stages between the two.  They exist
+as library functions (``n_factor_two``, ``delta_factor_two``), but their
+precondition r >= 256 * eps^-3 * ln Delta~ is met by no input this library
+can hold: the LP start lifts every value to at least eps1/(2 Delta), so
+r <= 2 Delta/eps1 + 1.  The one-shot stage absorbs the remaining gap.
 """
 
 from __future__ import annotations
@@ -12,18 +18,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .cds import CdsResult, build_cds
-from .derand_cluster import n_factor_two, n_one_shot
-from .derand_color import delta_factor_two, delta_one_shot
+from .cds import build_cds
+from .derand_cluster import n_one_shot
+from .derand_color import delta_one_shot
 from .errors import DomainError, InvariantViolation, PreconditionError
 from .graph import Graph
 from .lp_init import initial_fds, lp_fractional_opt
 from .oracles import brute_force_mds
 from .rounding import DEFAULT_ENUM_BUDGET
 from .sim import RoundStats
-from .values import CFDS, ONE, ZERO, fractionality, ln_upper, validate_cfds
+from .values import CFDS, ONE, fractionality, ln_upper, validate_cfds
 
 DEFAULT_OPT_CAP = 24
 
@@ -34,8 +41,6 @@ class PipelineParams:
 
     eps: Fraction
     eps1: Fraction
-    eps2: Fraction
-    rho: int
     F: int
     delta: int
     delta_tilde: int
@@ -48,14 +53,9 @@ class PipelineParams:
         delta = graph.max_degree
         dt = graph.delta_tilde
         eps1 = min(eps / 16, Fraction(1, 4))
-        rho = max(1, math.ceil(math.log2(max(float(delta / eps), 2.0))))
-        eps2 = eps1 / (100 * rho)
         ln_dt = ln_upper(max(dt, 2))
         F = math.ceil(256 * float(eps1) ** -3 * float(ln_dt))
-        return cls(
-            eps=eps, eps1=eps1, eps2=eps2, rho=rho, F=F,
-            delta=delta, delta_tilde=dt,
-        )
+        return cls(eps=eps, eps1=eps1, F=F, delta=delta, delta_tilde=dt)
 
 
 def _frac_str(value) -> str:
@@ -136,9 +136,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=65536)
 def _brute_mds_size(graph: Graph, cap: int) -> int:
     return brute_force_mds(graph, cap=cap)[0]
@@ -147,14 +144,20 @@ def _brute_mds_size(graph: Graph, cap: int) -> int:
 def _opt_estimate(
     graph: Graph, opt_cap: int
 ) -> Tuple[Fraction, str]:
-    """Brute-force optimum when feasible, else the LP objective as a proxy."""
+    """Brute-force optimum when feasible, else an LP-based estimate.
+
+    Above *opt_cap* the value is the size of the repaired fractional LP
+    solution, labelled ``"lp-estimate"``.  The LP optimum is a lower bound on
+    OPT and the repaired size sits at or slightly above it, so the estimate
+    certifies neither a lower nor an upper bound on OPT.
+    """
     if graph.n <= opt_cap:
         return Fraction(_brute_mds_size(graph, opt_cap)), "brute-force"
     lp = lp_fractional_opt(graph, Fraction(1, 100))
-    return lp.size, "lp-upper"
+    return lp.size, "lp-estimate"
 
 
-def _trivial_report(graph: Graph, params: PipelineParams, opt_cap: int) -> Tuple[List[int], RunReport]:
+def _trivial_report(graph: Graph, params: PipelineParams) -> Tuple[List[int], RunReport]:
     """Edgeless graphs: every node must be chosen."""
     ds = list(range(graph.n))
     report = RunReport(
@@ -178,8 +181,6 @@ def _params_obj(params: PipelineParams) -> Dict:
     return {
         "eps": _frac_str(params.eps),
         "eps1": _frac_str(params.eps1),
-        "eps2": _frac_str(params.eps2),
-        "rho": params.rho,
         "F": params.F,
         "delta_tilde": params.delta_tilde,
     }
@@ -211,7 +212,7 @@ def _run_mds(
         raise DomainError("empty graph")
     params = PipelineParams.from_graph(graph, eps)
     if graph.delta_tilde < 2:
-        return _trivial_report(graph, params, opt_cap)
+        return _trivial_report(graph, params)
     report = RunReport(
         graph_n=graph.n,
         graph_m=graph.num_edges,
@@ -221,47 +222,11 @@ def _run_mds(
 
     stats = RoundStats()
     current = initial_fds(graph, params.eps1, stats)
+    frac = fractionality(current)
     report.stages.append(
-        StageReport(
-            "initial-lp",
-            current.size,
-            fractionality(current),
-            0,
-            stats.charged_rounds,
-        )
+        StageReport("initial-lp", current.size, frac, 0, stats.charged_rounds)
     )
 
-    target = Fraction(1, params.F)
-    ln_dt = ln_upper(params.delta_tilde)
-    min_r = 256 * params.eps2**-3 * ln_dt
-    for stage_idx in range(params.rho):
-        frac = fractionality(current)
-        if frac >= target:
-            break
-        r = math.ceil(1 / frac)
-        if Fraction(r) < min_r:
-            # the doubling stage's precondition needs finer inputs than we
-            # have; the one-shot stage absorbs the remaining gap
-            break
-        if scheme == "n":
-            current, outcome = n_factor_two(
-                graph, current, params.eps2, r, budget=budget, verify=verify
-            )
-        else:
-            current, outcome = delta_factor_two(
-                graph, current, params.eps2, r, budget=budget, verify=verify
-            )
-        report.stages.append(
-            StageReport(
-                f"factor-two-{stage_idx + 1}",
-                current.size,
-                fractionality(current),
-                outcome.simulated_rounds,
-                outcome.charged_rounds,
-            )
-        )
-
-    frac = fractionality(current)
     F_eff = max(1, math.ceil(1 / frac))
     if scheme == "n":
         ds_cfds, outcome = n_one_shot(

@@ -12,12 +12,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .coins import CoinSource, coin_threshold, draw_coin
-from .errors import DomainError, EnumerationBudgetError, PrecisionError
+from .errors import (
+    DomainError,
+    EnumerationBudgetError,
+    PrecisionError,
+    PreconditionError,
+)
 from .graph import Graph
-from .values import CFDS, ONE, ZERO, iota_for, is_multiple_of, ln_upper, quantize_up
+from .values import (
+    CFDS,
+    ONE,
+    ZERO,
+    ceil_to_multiple,
+    iota_for,
+    is_multiple_of,
+    ln_upper,
+    quantize_up,
+)
 
 #: sentinel for neighborhood sums that already reached the constraint
 SAT = "sat"
@@ -108,6 +122,38 @@ def phase2(inst: RoundingInstance, X: Dict[int, Fraction]) -> CFDS:
     return CFDS(x=z, c=dict(inst.c))
 
 
+def _check_fractional(xprime: CFDS, r: int, label: str) -> None:
+    """PreconditionError unless every positive value of x' is at least 1/r."""
+    for v, val in xprime.x.items():
+        if val > 0 and val < Fraction(1, r):
+            raise PreconditionError(
+                f"{label}: x'({v}) = {val} below the required fractionality 1/{r}"
+            )
+
+
+def scale_values(
+    xprime: CFDS, factor: Fraction, ambient_n: int, r: Optional[int] = None
+) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
+    """Scaled values and coin probabilities of a rounding step.
+
+    x(v) = factor * x'(v), set to 1 when it reaches 1 and otherwise quantized
+    up at the width of *ambient_n*.  Without *r* (one-shot) p = x; with *r*
+    (factor-two) values below 2/r double with probability 1/2 and the rest
+    keep p = 1.
+    """
+    width = max(ambient_n, 2)
+    x: Dict[int, Fraction] = {}
+    p: Dict[int, Fraction] = {}
+    for v, val in xprime.x.items():
+        val = factor * val
+        x[v] = ONE if val >= 1 else Fraction(quantize_up(val, width))
+        if r is None:
+            p[v] = x[v]
+        else:
+            p[v] = Fraction(1, 2) if x[v] < Fraction(2, r) else ONE
+    return x, p
+
+
 def one_shot_instance(
     graph: Graph, xprime: CFDS, delta_tilde: Optional[int] = None, ambient_n: int = 0
 ) -> RoundingInstance:
@@ -119,14 +165,8 @@ def one_shot_instance(
             f"one-shot rounding needs max inclusive neighborhood >= 2, got {delta_tilde}"
         )
     amb = ambient_n or graph.n
-    ln_dt = ln_upper(delta_tilde)
-    x: Dict[int, Fraction] = {}
-    for v in range(graph.n):
-        val = xprime.x[v] * ln_dt
-        x[v] = ONE if val >= 1 else Fraction(quantize_up(val, max(amb, 2)))
-    return RoundingInstance(
-        graph=graph, x=x, p=dict(x), c=dict(xprime.c), ambient_n=amb
-    )
+    x, p = scale_values(xprime, ln_upper(delta_tilde), amb)
+    return RoundingInstance(graph=graph, x=x, p=p, c=dict(xprime.c), ambient_n=amb)
 
 
 def factor_two_instance(
@@ -139,13 +179,7 @@ def factor_two_instance(
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     amb = ambient_n or graph.n
-    threshold = Fraction(2, r)
-    x: Dict[int, Fraction] = {}
-    p: Dict[int, Fraction] = {}
-    for v in range(graph.n):
-        val = (1 + eps) * xprime.x[v]
-        x[v] = ONE if val >= 1 else Fraction(quantize_up(val, max(amb, 2)))
-        p[v] = Fraction(1, 2) if x[v] < threshold else ONE
+    x, p = scale_values(xprime, 1 + eps, amb, r)
     return RoundingInstance(graph=graph, x=x, p=p, c=dict(xprime.c), ambient_n=amb)
 
 
@@ -195,9 +229,6 @@ class CoinLaw:
         raise NotImplementedError
 
     def group_of(self, v: int) -> Hashable:
-        raise NotImplementedError
-
-    def group_members(self, key: Hashable) -> Sequence[int]:
         raise NotImplementedError
 
     def free_bits(self, key: Hashable, assignment: PartialAssignment) -> int:
@@ -253,9 +284,6 @@ class IndependentCoinLaw(CoinLaw):
     def group_of(self, v: int) -> Hashable:
         return ("coin", v)
 
-    def group_members(self, key: Hashable) -> Sequence[int]:
-        return [key[1]]
-
     def _prefix(self, v: int, assignment: PartialAssignment) -> Tuple[int, int]:
         bits = assignment.seed_bits.get(("coin", v), {})
         j = 0
@@ -294,9 +322,6 @@ class IndependentCoinLaw(CoinLaw):
             out.append((1 - q, {v: 0}))
         return out
 
-    def seed_length(self, v: int) -> int:
-        return self.b
-
 
 class SeededCoinLaw(CoinLaw):
     """Coins of one group extracted from a shared short seed.
@@ -318,9 +343,6 @@ class SeededCoinLaw(CoinLaw):
 
     def group_of(self, v: int) -> Hashable:
         return self.key
-
-    def group_members(self, key: Hashable) -> Sequence[int]:
-        return self.nodes()
 
     def _free_indices(self, assignment: PartialAssignment) -> List[int]:
         fixed = assignment.seed_bits.get(self.key, {})
@@ -348,9 +370,6 @@ class SeededCoinLaw(CoinLaw):
             for vec, prob in sorted(outcomes.items())
         ]
 
-    def seed_length(self) -> int:
-        return self.source.K
-
 
 class CompositeCoinLaw(CoinLaw):
     """Disjoint union of independent sub-laws (e.g. one per cluster)."""
@@ -373,9 +392,6 @@ class CompositeCoinLaw(CoinLaw):
 
     def group_of(self, v: int) -> Hashable:
         return self._owner[v].group_of(v)
-
-    def group_members(self, key: Hashable) -> Sequence[int]:
-        return self._group_owner[key].group_members(key)
 
     def free_bits(self, key: Hashable, assignment: PartialAssignment) -> int:
         return self._group_owner[key].free_bits(key, assignment)
@@ -471,6 +487,28 @@ def conditional_expected_value(
         else:
             xu = fallback if cc is None else (inst.ratio(u) if cc else ZERO)
             total += prob * xu
+    return total
+
+
+def branch_sum(
+    inst: RoundingInstance,
+    law: CoinLaw,
+    nodes: Sequence[int],
+    assignment: PartialAssignment,
+    unit: Fraction,
+    budget: int = DEFAULT_ENUM_BUDGET,
+) -> Fraction:
+    """Sum of E[Z_u] over *nodes*, each rounded up to a multiple of *unit*.
+
+    This is the quantity the derandomizers compare between the two branches
+    of a coin or seed bit.
+    """
+    total = ZERO
+    for u in nodes:
+        alpha = conditional_expected_value(inst, law, u, assignment, budget)
+        # most alphas are 0 once neighbors are fixed; skip the Fraction work
+        if alpha > 0:
+            total += ceil_to_multiple(alpha, unit)
     return total
 
 

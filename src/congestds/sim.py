@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Tuple
 
 from .errors import (
     DomainError,
@@ -52,12 +52,6 @@ class RoundStats:
         if self.cost_model == "local":
             return None
         return self.beta * max(1, math.ceil(math.log2(max(n, 2))))
-
-    def merge(self, other: "RoundStats") -> None:
-        self.simulated_rounds += other.simulated_rounds
-        self.charged_rounds += other.charged_rounds
-        self.max_message_bits = max(self.max_message_bits, other.max_message_bits)
-        self.charges.extend(other.charges)
 
 
 def charge_oracle(stats: RoundStats, rounds: int, label: str) -> RoundStats:

@@ -1,44 +1,17 @@
-from fractions import Fraction
-
 import pytest
 
 from congestds.bipartite import (
-    bipartite_representation,
     coloring_round_cost,
-    coloring_side,
     coloring_violations,
     greedy_distance2_coloring,
     split_left_nodes,
 )
 from congestds.errors import DomainError
 from congestds.graph import Graph
-from congestds.values import CFDS
 
 
 def star(leaves):
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-class TestRepresentation:
-    def test_star_structure(self):
-        g = star(3)
-        d = CFDS.fds({v: Fraction(1, 2) for v in range(4)})
-        bip = bipartite_representation(g, d)
-        assert bip.graph.n == 8
-        # center constraint sees every value copy; leaf constraints see 2
-        assert bip.graph.adj[bip.left(0)] == [4, 5, 6, 7]
-        assert bip.graph.adj[bip.left(1)] == [bip.right(0), bip.right(1)]
-        # values live on the right, constraints on the left
-        assert bip.x[bip.right(2)] == Fraction(1, 2)
-        assert bip.x[bip.left(2)] == 0
-        assert bip.c[bip.left(2)] == 1
-        assert bip.c[bip.right(2)] == 0
-
-    def test_orig_mapping(self):
-        g = Graph(2, [(0, 1)])
-        bip = bipartite_representation(g, CFDS.fds({0: Fraction(1), 1: Fraction(0)}))
-        assert bip.orig(bip.right(1)) == 1
-        assert bip.is_left(0) and not bip.is_left(2)
 
 
 class TestColoring:
@@ -56,9 +29,11 @@ class TestColoring:
 
     def test_cycle_rep_right_side(self):
         g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-        bip = bipartite_representation(g, CFDS.fds({v: Fraction(1, 3) for v in range(5)}))
-        col = coloring_side(bip, "right")
-        assert coloring_violations(bip.graph, col) == []
+        # double cover: constraint v (left, id v) -- value u (right, id 5 + u)
+        # for every u in v's inclusive neighborhood
+        cover = Graph(10, [(v, 5 + u) for v in range(5) for u in g.closed_neighbors(v)])
+        col = greedy_distance2_coloring(cover, range(5, 10))
+        assert coloring_violations(cover, col) == []
         # side degrees are both 3: greedy stays within D_L * D_R
         assert col.num_colors <= 9
 
@@ -68,19 +43,10 @@ class TestColoring:
         seen = [v for cls in col.classes() for v in cls]
         assert sorted(seen) == list(range(5))
 
-    def test_bad_side(self):
-        g = Graph(1, [])
-        bip = bipartite_representation(g, CFDS.fds({0: Fraction(1)}))
-        with pytest.raises(DomainError):
-            coloring_side(bip, "top")
-
     def test_round_cost(self):
         from congestds.values import log_star
 
-        assert coloring_round_cost(3, 4, 100, "congest") == 12 + 3 * log_star(100)
-        assert coloring_round_cost(3, 4, 100, "local") == 12 + log_star(100)
-        with pytest.raises(DomainError):
-            coloring_round_cost(1, 1, 2, "quantum")
+        assert coloring_round_cost(3, 4, 100) == 12 + 3 * log_star(100)
 
 
 class TestSplit:

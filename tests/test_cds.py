@@ -5,7 +5,6 @@ from congestds.cds import (
     build_cds,
     connector_paths,
     default_ruling_params,
-    gs_graph,
     is_dominating,
     ruling_subset,
 )
@@ -17,33 +16,6 @@ from congestds.oracles import brute_force_cds
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-class TestGsGraph:
-    def test_p7_spine(self):
-        g = path(7)
-        gs = gs_graph(g, [0, 3, 6])
-        assert sorted(gs.witness) == [(0, 3), (3, 6)]
-        assert gs.witness[(0, 3)] == [0, 1, 2, 3]
-        assert gs.is_connected()
-
-    def test_witnesses_are_lex_smallest(self):
-        # two shortest 0..3 paths: via 1 or via 2; lex order picks via 1
-        g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        gs = gs_graph(g, [0, 3])
-        assert gs.witness[(0, 3)] == [0, 1, 3]
-
-    def test_non_dominating_rejected(self):
-        with pytest.raises(PreconditionError):
-            gs_graph(path(7), [0])
-
-    def test_distant_pairs_get_no_edge(self):
-        g = path(9)
-        gs = gs_graph(g, [1, 4, 7])
-        assert gs.is_connected()
-        # 1 and 7 are 6 hops apart: connected only through 4
-        assert (1, 7) not in gs.witness
-        assert gs.neighbors(4) == [1, 7]
 
 
 class TestRulingSubset:

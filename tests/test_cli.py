@@ -37,6 +37,28 @@ class TestPipelineCommands:
         code = main(["mds-n", "--input", petersen_file, "--epsilon", "3"])
         assert code == 3
 
+    def test_epsilon_parsed_exactly(self, petersen_file, capsys):
+        args = ["mds-n", "--input", petersen_file, "--report", "json"]
+        assert main(args + ["--epsilon", "0.1"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["eps"] == "1/10"
+        assert main(args + ["--epsilon", "1/3"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["eps"] == "1/3"
+
+    @pytest.mark.parametrize("text", ["abc", "1/0"])
+    def test_epsilon_not_a_number(self, text, petersen_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mds-n", "--input", petersen_file, "--epsilon", text])
+        assert exc.value.code != 0
+
+    @pytest.mark.parametrize("command", ["mds-n", "mds-delta", "cds"])
+    @pytest.mark.parametrize(
+        "flag", [["--cost-model", "local"], ["--beta", "8"], ["--seed", "3"]]
+    )
+    def test_removed_flags_rejected(self, command, flag, petersen_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", petersen_file] + flag)
+        assert exc.value.code == 2
+
 
 class TestOracle:
     def test_mds(self, petersen_file, capsys):
@@ -58,6 +80,14 @@ class TestGenAndVerify:
         assert code == 0
         g = parse_graph(out.read_text())
         assert g.n == 6 and g.num_edges == 6
+
+    def test_gen_seed_reproducible(self, capsys):
+        args = ["gen", "gnp", "--n", "8", "--p", "0.5", "--seed", "3"]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        assert capsys.readouterr().out == first
+        assert parse_graph(first).n == 8
 
     def test_gen_stdout(self, capsys):
         code = main(["gen", "petersen"])

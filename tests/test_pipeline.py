@@ -22,8 +22,6 @@ class TestParams:
         g = petersen()
         p = PipelineParams.from_graph(g, Fraction(1, 2))
         assert p.eps1 == Fraction(1, 32)
-        assert p.rho == 3  # ceil(log2(3 / 0.5))
-        assert p.eps2 == p.eps1 / (100 * p.rho)
         assert p.delta_tilde == 4
         assert p.F >= 256 * 32**3  # eps1^-3 factor dominates
 
@@ -112,3 +110,9 @@ class TestCdsPipeline:
         text = report.to_text()
         assert "final: size=" in text
         assert "connected: True" in text
+
+
+def test_lp_estimate_above_opt_cap():
+    _, report = run_mds_n(petersen(), Fraction(1, 2), opt_cap=0)
+    assert report.extras["opt_kind"] == "lp-estimate"
+    assert sorted(report.params) == ["F", "delta_tilde", "eps", "eps1"]
