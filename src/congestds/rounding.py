@@ -10,6 +10,7 @@ here computes exact conditional expectations by enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -63,7 +64,8 @@ class RoundingInstance:
         nodes = set(range(self.graph.n))
         if set(self.x) != nodes or set(self.p) != nodes or set(self.c) != nodes:
             raise DomainError("x, p, c must cover exactly the host graph's nodes")
-        unit = Fraction(1, 1 << iota_for(max(self.ambient_n, 2)))
+        self.iota = iota_for(max(self.ambient_n, 2))
+        unit = Fraction(1, 1 << self.iota)
         for v in nodes:
             if self.p[v] < self.x[v]:
                 raise DomainError(f"p({v}) = {self.p[v]} < x({v}) = {self.x[v]}")
@@ -73,8 +75,25 @@ class RoundingInstance:
                 if not is_multiple_of(val, unit):
                     raise PrecisionError(
                         f"{label}({v}) = {val} is not transmittable at width "
-                        f"{iota_for(max(self.ambient_n, 2))}"
+                        f"{self.iota}"
                     )
+        # every expectation reads these, so they are computed once; the
+        # integer forms count units of 2**-iota for the expectation engine
+        self._ratio = {v: self._quantized_ratio(v) for v in nodes}
+        self.ratio_units = {v: self._units(r) for v, r in self._ratio.items()}
+        self.det_units = {v: self._units(self.deterministic_value(v)) for v in nodes}
+        self.c_units = {v: self._units(val) for v, val in self.c.items()}
+
+    def _units(self, value: Fraction) -> int:
+        return value.numerator * ((1 << self.iota) // value.denominator)
+
+    def _quantized_ratio(self, v: int) -> Fraction:
+        if self.p[v] == 0:
+            return ZERO
+        val = self.x[v] / self.p[v]
+        if val >= 1:
+            return ONE
+        return Fraction(quantize_up(val, max(self.ambient_n, 2)))
 
     def participating(self) -> List[int]:
         """Nodes with 0 < p < 1: the ones whose coin matters."""
@@ -82,12 +101,7 @@ class RoundingInstance:
 
     def ratio(self, v: int) -> Fraction:
         """The phase-1 success value x(v)/p(v), capped at 1 and quantized up."""
-        if self.p[v] == 0:
-            return ZERO
-        val = self.x[v] / self.p[v]
-        if val >= 1:
-            return ONE
-        return Fraction(quantize_up(val, max(self.ambient_n, 2)))
+        return self._ratio[v]
 
     def deterministic_value(self, v: int) -> Fraction:
         """Phase-1 value of a non-participating node (p in {0, 1})."""
@@ -297,29 +311,32 @@ class IndependentCoinLaw(CoinLaw):
             )
         return j, val
 
-    def marginal(self, v: int, assignment: PartialAssignment) -> Fraction:
-        """Pr(coin_v = 1) given the fixed coin or string prefix."""
+    def _heads(self, v: int, assignment: PartialAssignment) -> Tuple[int, int]:
+        """(good, width): Pr(coin_v = 1) is good/width given the assignment."""
         if v in assignment.coins:
-            return Fraction(assignment.coins[v])
+            return assignment.coins[v], 1
         j, prefix = self._prefix(v, assignment)
         rem = self.b - j
         lo = prefix << rem
         width = 1 << rem
-        good = min(max(self.thresholds[v] - lo, 0), width)
-        return Fraction(good, width)
+        return min(max(self.thresholds[v] - lo, 0), width), width
+
+    def marginal(self, v: int, assignment: PartialAssignment) -> Fraction:
+        """Pr(coin_v = 1) given the fixed coin or string prefix."""
+        return Fraction(*self._heads(v, assignment))
 
     def free_bits(self, key: Hashable, assignment: PartialAssignment) -> int:
-        q = self.marginal(key[1], assignment)
-        return 0 if q in (ZERO, ONE) else 1
+        good, width = self._heads(key[1], assignment)
+        return 0 if good in (0, width) else 1
 
     def distribution(self, key, targets, assignment):
         (v,) = targets
-        q = self.marginal(v, assignment)
+        good, width = self._heads(v, assignment)
         out = []
-        if q > 0:
-            out.append((q, {v: 1}))
-        if q < 1:
-            out.append((1 - q, {v: 0}))
+        if good > 0:
+            out.append((Fraction(good, width), {v: 1}))
+        if good < width:
+            out.append((Fraction(width - good, width), {v: 0}))
         return out
 
 
@@ -409,20 +426,20 @@ def _neighborhood_states(
     center: int,
     assignment: PartialAssignment,
     budget: int,
-) -> Dict[Tuple[Optional[int], Any], Fraction]:
+) -> Tuple[Dict[Tuple[Optional[int], Any], int], int]:
     """Joint law of (center's coin, capped inclusive-neighborhood sum).
 
-    Sums are tracked exactly up to c(center); anything at or above the
-    constraint collapses into the ``SAT`` state.  Groups outside the closed
-    neighborhood are irrelevant and never enumerated.
+    Returns ``(states, denom)``: state ``(coin, sum)`` has probability
+    ``states[state] / denom``.  Sums are integers in units of 2**-iota,
+    tracked exactly up to c(center); anything at or above the constraint
+    collapses into the ``SAT`` state.  Groups outside the closed neighborhood
+    are irrelevant and never enumerated.  All arithmetic is on integers, so
+    the result is exact.
     """
-    cap = inst.c[center]
+    cap = inst.c_units[center]
     relevant = inst.graph.closed_neighbors(center)
     participating = set(law.nodes()) & set(relevant)
-    base = ZERO
-    for w in relevant:
-        if w not in participating:
-            base += inst.deterministic_value(w)
+    base = sum(inst.det_units[w] for w in relevant if w not in participating)
 
     group_targets: Dict[Hashable, List[int]] = {}
     for w in sorted(participating):
@@ -435,25 +452,35 @@ def _neighborhood_states(
             f"(budget {budget})"
         )
 
-    def capped(s: Fraction):
-        return SAT if s >= cap else s
-
-    states: Dict[Tuple[Optional[int], Any], Fraction] = {(None, capped(base)): ONE}
+    states: Dict[Tuple[Optional[int], Any], int] = {
+        (None, SAT if base >= cap else base): 1
+    }
+    denom = 1
     for key in keys:
         targets = group_targets[key]
         dist = law.distribution(key, targets, assignment)
-        nxt: Dict[Tuple[Optional[int], Any], Fraction] = {}
-        for (cc, s), prob in states.items():
-            for dprob, coins in dist:
-                add = sum(
-                    (inst.ratio(w) for w in targets if coins[w]), ZERO
-                )
-                new_cc = coins[center] if center in coins else cc
-                new_s = SAT if s == SAT else capped(s + add)
-                state = (new_cc, new_s)
-                nxt[state] = nxt.get(state, ZERO) + prob * dprob
+        # the group's outcome probabilities over one common denominator
+        d = math.lcm(*(dprob.denominator for dprob, _ in dist))
+        outcomes = [
+            (
+                dprob.numerator * (d // dprob.denominator),
+                sum(inst.ratio_units[w] for w in targets if coins[w]),
+                coins.get(center),
+            )
+            for dprob, coins in dist
+        ]
+        nxt: Dict[Tuple[Optional[int], Any], int] = {}
+        for (cc, s), num in states.items():
+            for dnum, add, coin in outcomes:
+                new_cc = cc if coin is None else coin
+                if s is SAT or s + add >= cap:
+                    state = (new_cc, SAT)
+                else:
+                    state = (new_cc, s + add)
+                nxt[state] = nxt.get(state, 0) + num * dnum
         states = nxt
-    return states
+        denom *= d
+    return states, denom
 
 
 def exact_uncover_prob(
@@ -465,8 +492,10 @@ def exact_uncover_prob(
 ) -> Fraction:
     """Pr(v's inclusive-neighborhood phase-1 sum falls short of c(v))."""
     assignment = assignment or PartialAssignment()
-    states = _neighborhood_states(inst, law, v, assignment, budget)
-    return sum((prob for (cc, s), prob in states.items() if s != SAT), ZERO)
+    states, denom = _neighborhood_states(inst, law, v, assignment, budget)
+    return Fraction(
+        sum(num for (cc, s), num in states.items() if s is not SAT), denom
+    )
 
 
 def conditional_expected_value(
@@ -478,16 +507,19 @@ def conditional_expected_value(
 ) -> Fraction:
     """E[Z_u] where Z_u = 1 if u ends phase 1 uncovered, else X_u."""
     assignment = assignment or PartialAssignment()
-    states = _neighborhood_states(inst, law, u, assignment, budget)
-    fallback = inst.deterministic_value(u)
-    total = ZERO
-    for (cc, s), prob in states.items():
-        if s != SAT:
-            total += prob
+    states, denom = _neighborhood_states(inst, law, u, assignment, budget)
+    # in units of 2**-iota: an uncovered u counts 1, a covered one X_u
+    one = 1 << inst.iota
+    fallback = inst.det_units[u]
+    ratio = inst.ratio_units[u]
+    total = 0
+    for (cc, s), num in states.items():
+        if s is not SAT:
+            total += num * one
         else:
-            xu = fallback if cc is None else (inst.ratio(u) if cc else ZERO)
-            total += prob * xu
-    return total
+            xu = fallback if cc is None else (ratio if cc else 0)
+            total += num * xu
+    return Fraction(total, denom * one)
 
 
 def branch_sum(

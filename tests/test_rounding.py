@@ -193,6 +193,40 @@ class TestExactExpectations:
             total += w * out.size
         assert expected_output_size(inst, law) == total
 
+    def test_per_node_values_match_enumeration(self):
+        # ratios below 1 (one of them quantized), a node with p = 1 and
+        # constraints below 1, with one coin already fixed
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
+        x = {0: Fraction(3, 16), 1: Fraction(1, 8), 2: Fraction(1, 4),
+             3: HALF, 4: Fraction(5, 16)}
+        p = {0: HALF, 1: Fraction(1, 4), 2: Fraction(1), 3: HALF,
+             4: Fraction(3, 4)}
+        c = {0: Fraction(3, 4), 1: Fraction(1), 2: HALF, 3: Fraction(1),
+             4: Fraction(5, 8)}
+        inst = RoundingInstance(graph=g, x=x, p=p, c=c)
+        S = inst.participating()
+        law = IndependentCoinLaw({v: p[v] for v in S}, b=4)
+        fixed = {3: 1}
+        free = [v for v in S if v not in fixed]
+        expect = {v: Fraction(0) for v in range(5)}
+        uncover = {v: Fraction(0) for v in range(5)}
+        for bits in itertools.product((0, 1), repeat=len(free)):
+            coins = dict(fixed)
+            coins.update(zip(free, bits))
+            w = Fraction(1)
+            for v, bit in zip(free, bits):
+                w *= p[v] if bit else 1 - p[v]
+            X = phase1(inst, coins)
+            out = phase2(inst, X)
+            for v in range(5):
+                expect[v] += w * out.x[v]
+                if X[v] + sum(X[u] for u in g.adj[v]) < c[v]:
+                    uncover[v] += w
+        a = PartialAssignment(coins=dict(fixed))
+        for v in range(5):
+            assert conditional_expected_value(inst, law, v, a) == expect[v]
+            assert exact_uncover_prob(inst, law, v, a) == uncover[v]
+
     def test_prefix_bits_refine_marginal(self):
         law = IndependentCoinLaw({0: Fraction(5, 16)}, b=4)
         a = PartialAssignment()
