@@ -26,7 +26,6 @@ from .pipeline import (
     run_mds_delta,
     run_mds_n,
 )
-from .rounding import DEFAULT_ENUM_BUDGET
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -47,7 +46,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--epsilon", type=_exact_number, default=Fraction(1, 2),
         help="approximation parameter in (0, 1], e.g. 0.1 or 1/3",
     )
-    p.add_argument("--enum-budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--report", choices=("json", "text"), default="text")
     p.add_argument("--opt-cap", type=int, default=DEFAULT_OPT_CAP)
 
@@ -105,9 +103,7 @@ def _cmd_pipeline(args) -> int:
     runner = {"mds-n": run_mds_n, "mds-delta": run_mds_delta, "cds": run_cds}[
         args.command
     ]
-    result, report = runner(
-        graph, args.epsilon, budget=args.enum_budget, opt_cap=args.opt_cap
-    )
+    result, report = runner(graph, args.epsilon, opt_cap=args.opt_cap)
     report.extras["nodes"] = result
     _emit_report(report, args.report)
     return EXIT_OK

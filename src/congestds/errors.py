@@ -18,7 +18,7 @@ class PrecisionError(CongestDSError):
 
 
 class EnumerationBudgetError(CongestDSError):
-    """An exact expectation would require enumerating more free bits than allowed."""
+    """An exact expectation would need more DP states than its budget allows."""
 
 
 class MessageSizeError(CongestDSError):

@@ -28,7 +28,6 @@ from .errors import DomainError, InvariantViolation, PreconditionError
 from .graph import Graph
 from .lp_init import initial_fds, lp_fractional_opt
 from .oracles import brute_force_mds
-from .rounding import DEFAULT_ENUM_BUDGET
 from .sim import RoundStats
 from .values import CFDS, ONE, fractionality, ln_upper, validate_cfds
 
@@ -42,7 +41,6 @@ class PipelineParams:
     eps: Fraction
     eps1: Fraction
     F: int
-    delta: int
     delta_tilde: int
 
     @classmethod
@@ -50,12 +48,11 @@ class PipelineParams:
         eps = Fraction(eps)
         if eps <= 0 or eps > 1:
             raise DomainError(f"eps must be in (0, 1], got {eps}")
-        delta = graph.max_degree
         dt = graph.delta_tilde
         eps1 = min(eps / 16, Fraction(1, 4))
         ln_dt = ln_upper(max(dt, 2))
         F = math.ceil(256 * float(eps1) ** -3 * float(ln_dt))
-        return cls(eps=eps, eps1=eps1, F=F, delta=delta, delta_tilde=dt)
+        return cls(eps=eps, eps1=eps1, F=F, delta_tilde=dt)
 
 
 def _frac_str(value) -> str:
@@ -204,7 +201,6 @@ def _run_mds(
     graph: Graph,
     eps,
     scheme: str,
-    budget: int,
     opt_cap: int,
     verify: bool,
 ) -> Tuple[List[int], RunReport]:
@@ -229,13 +225,9 @@ def _run_mds(
 
     F_eff = max(1, math.ceil(1 / frac))
     if scheme == "n":
-        ds_cfds, outcome = n_one_shot(
-            graph, current, F_eff, budget=budget, verify=verify
-        )
+        ds_cfds, outcome = n_one_shot(graph, current, F_eff, verify=verify)
     else:
-        ds_cfds, outcome = delta_one_shot(
-            graph, current, F_eff, budget=budget, verify=verify
-        )
+        ds_cfds, outcome = delta_one_shot(graph, current, F_eff, verify=verify)
     report.stages.append(
         StageReport(
             "one-shot",
@@ -263,36 +255,33 @@ def _run_mds(
 def run_mds_n(
     graph: Graph,
     eps,
-    budget: int = DEFAULT_ENUM_BUDGET,
     opt_cap: int = DEFAULT_OPT_CAP,
     verify: bool = True,
 ) -> Tuple[List[int], RunReport]:
     """Full pipeline with cluster-ordered derandomization."""
-    return _run_mds(graph, eps, "n", budget, opt_cap, verify)
+    return _run_mds(graph, eps, "n", opt_cap, verify)
 
 
 def run_mds_delta(
     graph: Graph,
     eps,
-    budget: int = DEFAULT_ENUM_BUDGET,
     opt_cap: int = DEFAULT_OPT_CAP,
     verify: bool = True,
 ) -> Tuple[List[int], RunReport]:
     """Full pipeline with coloring-ordered derandomization on bipartite hosts."""
-    return _run_mds(graph, eps, "delta", budget, opt_cap, verify)
+    return _run_mds(graph, eps, "delta", opt_cap, verify)
 
 
 def run_cds(
     graph: Graph,
     eps,
-    budget: int = DEFAULT_ENUM_BUDGET,
     opt_cap: int = DEFAULT_OPT_CAP,
     verify: bool = True,
 ) -> Tuple[List[int], RunReport]:
     """Dominating set via the n-pipeline, then connected extension."""
     if not graph.is_connected():
         raise PreconditionError("connected dominating sets need a connected graph")
-    ds, report = run_mds_n(graph, eps, budget=budget, opt_cap=opt_cap, verify=verify)
+    ds, report = run_mds_n(graph, eps, opt_cap=opt_cap, verify=verify)
     result = build_cds(graph, ds)
     report.stages.append(
         StageReport(

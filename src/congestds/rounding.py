@@ -3,19 +3,18 @@
 Phase 1 scales each node's value to x(v)/p(v) with probability p(v) (else 0);
 phase 2 puts every node whose constraint is still unsatisfied at value 1.
 Both derandomizers drive this process through :class:`PartialAssignment`
-objects that pin down coins (or seed bits) one at a time while the engine
-here computes exact conditional expectations by enumeration.
+objects that pin down coins (or coin-string bits) one at a time while the
+engine here computes exact conditional expectations by a dynamic program over
+neighborhood sums.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .coins import CoinSource, coin_threshold, draw_coin
+from .coins import coin_threshold
 from .errors import (
     DomainError,
     EnumerationBudgetError,
@@ -197,16 +196,16 @@ def factor_two_instance(
     return RoundingInstance(graph=graph, x=x, p=p, c=dict(xprime.c), ambient_n=amb)
 
 
-# -- partial assignments and coin laws --------------------------------------
+# -- partial assignments and the coin law ----------------------------------
 
 
 @dataclass
 class PartialAssignment:
-    """Which coins and seed bits are pinned; everything else stays free.
+    """Which coins and coin-string bits are pinned; everything else stays free.
 
     ``coins`` fixes a node's coin outright (the color-ordered scheme);
-    ``seed_bits`` fixes individual bits of a group's seed (the cluster
-    scheme), keyed by the law's group key.
+    ``seed_bits`` fixes leading bits of a node's coin string (the cluster
+    scheme), keyed by ``("coin", v)``.
     """
 
     coins: Dict[int, int] = field(default_factory=dict)
@@ -230,73 +229,19 @@ class PartialAssignment:
         )
 
 
-class CoinLaw:
-    """Joint distribution of the participating nodes' coins.
-
-    Coins are organized in independent *groups* (one per node for fully
-    independent coins, one per cluster for shared seeds); distinct groups are
-    mutually independent, so neighborhood expectations combine group
-    distributions by dynamic programming over capped sums.
-    """
-
-    def nodes(self) -> Sequence[int]:
-        raise NotImplementedError
-
-    def group_of(self, v: int) -> Hashable:
-        raise NotImplementedError
-
-    def free_bits(self, key: Hashable, assignment: PartialAssignment) -> int:
-        """Bits that exhaustive enumeration would have to range over."""
-        raise NotImplementedError
-
-    def distribution(
-        self,
-        key: Hashable,
-        targets: Sequence[int],
-        assignment: PartialAssignment,
-    ) -> List[Tuple[Fraction, Dict[int, int]]]:
-        """Exact joint law of the targets' coins given the assignment."""
-        raise NotImplementedError
-
-    def resolved_coin(
-        self, v: int, assignment: PartialAssignment
-    ) -> Optional[int]:
-        """The coin of v if the assignment already determines it, else None."""
-        dist = self.distribution(self.group_of(v), [v], assignment)
-        if len(dist) == 1:
-            return dist[0][1][v]
-        return None
-
-    def final_coins(self, assignment: PartialAssignment) -> Dict[int, int]:
-        """All coins once the assignment determines every one of them."""
-        out: Dict[int, int] = {}
-        for v in self.nodes():
-            coin = self.resolved_coin(v, assignment)
-            if coin is None:
-                raise DomainError(f"coin of node {v} is still undetermined")
-            out[v] = coin
-        return out
-
-
-class IndependentCoinLaw(CoinLaw):
+class IndependentCoinLaw:
     """Fully independent coins, one private b-bit uniform string per node.
 
     A node's coin is 1 iff its string, read as a value in [0,1), is below
     p(v).  Fixing the string's bits most-significant first leaves a coin
     probability with a closed form, so conditional expectations never need
-    bit enumeration here: an unresolved coin costs one budget unit.
+    bit enumeration.
     """
 
     def __init__(self, p: Dict[int, Fraction], b: int):
         self.p = {v: Fraction(val) for v, val in p.items()}
         self.b = b
         self.thresholds = {v: coin_threshold(val, b) for v, val in self.p.items()}
-
-    def nodes(self) -> Sequence[int]:
-        return sorted(self.p)
-
-    def group_of(self, v: int) -> Hashable:
-        return ("coin", v)
 
     def _prefix(self, v: int, assignment: PartialAssignment) -> Tuple[int, int]:
         bits = assignment.seed_bits.get(("coin", v), {})
@@ -325,96 +270,26 @@ class IndependentCoinLaw(CoinLaw):
         """Pr(coin_v = 1) given the fixed coin or string prefix."""
         return Fraction(*self._heads(v, assignment))
 
-    def free_bits(self, key: Hashable, assignment: PartialAssignment) -> int:
-        good, width = self._heads(key[1], assignment)
-        return 0 if good in (0, width) else 1
-
-    def distribution(self, key, targets, assignment):
-        (v,) = targets
+    def resolved_coin(
+        self, v: int, assignment: PartialAssignment
+    ) -> Optional[int]:
+        """The coin of v if the assignment already determines it, else None."""
         good, width = self._heads(v, assignment)
-        out = []
-        if good > 0:
-            out.append((Fraction(good, width), {v: 1}))
-        if good < width:
-            out.append((Fraction(width - good, width), {v: 0}))
+        if good == width:
+            return 1
+        if good == 0:
+            return 0
+        return None
+
+    def final_coins(self, assignment: PartialAssignment) -> Dict[int, int]:
+        """All coins once the assignment determines every one of them."""
+        out: Dict[int, int] = {}
+        for v in self.p:
+            coin = self.resolved_coin(v, assignment)
+            if coin is None:
+                raise DomainError(f"coin of node {v} is still undetermined")
+            out[v] = coin
         return out
-
-
-class SeededCoinLaw(CoinLaw):
-    """Coins of one group extracted from a shared short seed.
-
-    All coins of the group depend on every seed bit, so conditional
-    expectations enumerate all completions of the free bits exactly.
-    """
-
-    def __init__(self, key: Hashable, source: CoinSource, p: Dict[int, Fraction]):
-        unknown = set(p) - set(source.points)
-        if unknown:
-            raise DomainError(f"nodes {sorted(unknown)} have no evaluation point")
-        self.key = key
-        self.source = source
-        self.p = {v: Fraction(val) for v, val in p.items()}
-
-    def nodes(self) -> Sequence[int]:
-        return sorted(self.p)
-
-    def group_of(self, v: int) -> Hashable:
-        return self.key
-
-    def _free_indices(self, assignment: PartialAssignment) -> List[int]:
-        fixed = assignment.seed_bits.get(self.key, {})
-        return [i for i in range(self.source.K) if i not in fixed]
-
-    def free_bits(self, key: Hashable, assignment: PartialAssignment) -> int:
-        return len(self._free_indices(assignment))
-
-    def distribution(self, key, targets, assignment):
-        fixed = assignment.seed_bits.get(self.key, {})
-        free = self._free_indices(assignment)
-        outcomes: Dict[Tuple[int, ...], Fraction] = {}
-        weight = Fraction(1, 1 << len(free))
-        for completion in itertools.product((0, 1), repeat=len(free)):
-            bits = [0] * self.source.K
-            for i, val in fixed.items():
-                bits[i] = val
-            for i, val in zip(free, completion):
-                bits[i] = val
-            src = self.source.with_seed(bits)
-            vec = tuple(draw_coin(src, v, self.p[v]) for v in targets)
-            outcomes[vec] = outcomes.get(vec, ZERO) + weight
-        return [
-            (prob, dict(zip(targets, vec)))
-            for vec, prob in sorted(outcomes.items())
-        ]
-
-
-class CompositeCoinLaw(CoinLaw):
-    """Disjoint union of independent sub-laws (e.g. one per cluster)."""
-
-    def __init__(self, laws: Sequence[CoinLaw]):
-        self.laws = list(laws)
-        self._owner: Dict[int, CoinLaw] = {}
-        for law in self.laws:
-            for v in law.nodes():
-                if v in self._owner:
-                    raise DomainError(f"node {v} belongs to two coin laws")
-                self._owner[v] = law
-        self._group_owner: Dict[Hashable, CoinLaw] = {}
-        for law in self.laws:
-            for v in law.nodes():
-                self._group_owner[law.group_of(v)] = law
-
-    def nodes(self) -> Sequence[int]:
-        return sorted(self._owner)
-
-    def group_of(self, v: int) -> Hashable:
-        return self._owner[v].group_of(v)
-
-    def free_bits(self, key: Hashable, assignment: PartialAssignment) -> int:
-        return self._group_owner[key].free_bits(key, assignment)
-
-    def distribution(self, key, targets, assignment):
-        return self._group_owner[key].distribution(key, targets, assignment)
 
 
 # -- exact expectation engine ------------------------------------------------
@@ -422,7 +297,7 @@ class CompositeCoinLaw(CoinLaw):
 
 def _neighborhood_states(
     inst: RoundingInstance,
-    law: CoinLaw,
+    law: IndependentCoinLaw,
     center: int,
     assignment: PartialAssignment,
     budget: int,
@@ -432,60 +307,57 @@ def _neighborhood_states(
     Returns ``(states, denom)``: state ``(coin, sum)`` has probability
     ``states[state] / denom``.  Sums are integers in units of 2**-iota,
     tracked exactly up to c(center); anything at or above the constraint
-    collapses into the ``SAT`` state.  Groups outside the closed neighborhood
-    are irrelevant and never enumerated.  All arithmetic is on integers, so
-    the result is exact.
+    collapses into the ``SAT`` state.  Resolved coins join the fixed base
+    sum; each live coin of the closed neighborhood is one step of a dynamic
+    program over the states.  All arithmetic is on integers, so the result
+    is exact.  More than ``2**budget`` states raise EnumerationBudgetError.
     """
     cap = inst.c_units[center]
-    relevant = inst.graph.closed_neighbors(center)
-    participating = set(law.nodes()) & set(relevant)
-    base = sum(inst.det_units[w] for w in relevant if w not in participating)
-
-    group_targets: Dict[Hashable, List[int]] = {}
-    for w in sorted(participating):
-        group_targets.setdefault(law.group_of(w), []).append(w)
-    keys = sorted(group_targets, key=repr)
-    total_free = sum(law.free_bits(k, assignment) for k in keys)
-    if total_free > budget:
-        raise EnumerationBudgetError(
-            f"neighborhood of node {center} needs {total_free} free bits "
-            f"(budget {budget})"
-        )
+    base = 0
+    center_coin: Optional[int] = None
+    live: List[Tuple[int, int, int]] = []
+    for w in inst.graph.closed_neighbors(center):
+        if w not in law.p:
+            base += inst.det_units[w]
+            continue
+        good, width = law._heads(w, assignment)
+        if 0 < good < width:
+            live.append((w, good, width))
+            continue
+        if good:
+            base += inst.ratio_units[w]
+        if w == center:
+            center_coin = 1 if good else 0
 
     states: Dict[Tuple[Optional[int], Any], int] = {
-        (None, SAT if base >= cap else base): 1
+        (center_coin, SAT if base >= cap else base): 1
     }
     denom = 1
-    for key in keys:
-        targets = group_targets[key]
-        dist = law.distribution(key, targets, assignment)
-        # the group's outcome probabilities over one common denominator
-        d = math.lcm(*(dprob.denominator for dprob, _ in dist))
-        outcomes = [
-            (
-                dprob.numerator * (d // dprob.denominator),
-                sum(inst.ratio_units[w] for w in targets if coins[w]),
-                coins.get(center),
-            )
-            for dprob, coins in dist
-        ]
+    limit = 1 << budget
+    for w, good, width in live:
+        add = inst.ratio_units[w]
         nxt: Dict[Tuple[Optional[int], Any], int] = {}
         for (cc, s), num in states.items():
-            for dnum, add, coin in outcomes:
-                new_cc = cc if coin is None else coin
-                if s is SAT or s + add >= cap:
+            for coin, weight in ((1, good), (0, width - good)):
+                new_cc = coin if w == center else cc
+                if s is SAT or (coin and s + add >= cap):
                     state = (new_cc, SAT)
                 else:
-                    state = (new_cc, s + add)
-                nxt[state] = nxt.get(state, 0) + num * dnum
+                    state = (new_cc, s + add if coin else s)
+                nxt[state] = nxt.get(state, 0) + num * weight
         states = nxt
-        denom *= d
+        denom *= width
+        if len(states) > limit:
+            raise EnumerationBudgetError(
+                f"neighborhood of node {center} holds {len(states)} DP states "
+                f"(budget 2**{budget})"
+            )
     return states, denom
 
 
 def exact_uncover_prob(
     inst: RoundingInstance,
-    law: CoinLaw,
+    law: IndependentCoinLaw,
     v: int,
     assignment: Optional[PartialAssignment] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
@@ -500,7 +372,7 @@ def exact_uncover_prob(
 
 def conditional_expected_value(
     inst: RoundingInstance,
-    law: CoinLaw,
+    law: IndependentCoinLaw,
     u: int,
     assignment: Optional[PartialAssignment] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
@@ -524,7 +396,7 @@ def conditional_expected_value(
 
 def branch_sum(
     inst: RoundingInstance,
-    law: CoinLaw,
+    law: IndependentCoinLaw,
     nodes: Sequence[int],
     assignment: PartialAssignment,
     unit: Fraction,
@@ -533,7 +405,7 @@ def branch_sum(
     """Sum of E[Z_u] over *nodes*, each rounded up to a multiple of *unit*.
 
     This is the quantity the derandomizers compare between the two branches
-    of a coin or seed bit.
+    of a coin or coin-string bit.
     """
     total = ZERO
     for u in nodes:
@@ -546,7 +418,7 @@ def branch_sum(
 
 def expected_output_size(
     inst: RoundingInstance,
-    law: CoinLaw,
+    law: IndependentCoinLaw,
     assignment: Optional[PartialAssignment] = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Fraction:
@@ -561,7 +433,7 @@ def expected_output_size(
 
 
 def run_phases(
-    inst: RoundingInstance, law: CoinLaw, assignment: PartialAssignment
+    inst: RoundingInstance, law: IndependentCoinLaw, assignment: PartialAssignment
 ) -> CFDS:
     """Phase 1 with fully determined coins, then phase 2."""
     coins = law.final_coins(assignment)

@@ -162,9 +162,7 @@ def derand_runs():
         bound = _expectation_bound(inst)
         coloring = greedy_distance2_coloring(g, inst.participating())
         color_out = derandomize_colorwise(inst, coloring)
-        cluster_out = derandomize_clusterwise(
-            inst, compute_decomposition(g, 2), indep=g.n
-        )
+        cluster_out = derandomize_clusterwise(inst, compute_decomposition(g, 2))
         rows.append((g, inst, bound, coloring, color_out, cluster_out))
     return rows
 
@@ -199,7 +197,7 @@ def test_criterion_4_per_fix_monotonicity():
             inst, coloring, log_expectations=True
         )
         cluster_out = derandomize_clusterwise(
-            inst, compute_decomposition(g, 2), indep=g.n, log_expectations=True
+            inst, compute_decomposition(g, 2), log_expectations=True
         )
         for out in (color_out, cluster_out):
             trace = [out.initial_expectation] + out.expectation_log
@@ -392,9 +390,7 @@ def test_criterion_10_cross_scheme_equivalence():
         n = max(inst.ambient_n, 2)
         coloring = greedy_distance2_coloring(g, inst.participating())
         color_out = derandomize_colorwise(inst, coloring)
-        cluster_out = derandomize_clusterwise(
-            inst, single_cluster_decomposition(g), indep=g.n
-        )
+        cluster_out = derandomize_clusterwise(inst, single_cluster_decomposition(g))
         if color_out.result.size == cluster_out.result.size:
             equal += 1
         if (

@@ -52,7 +52,13 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("command", ["mds-n", "mds-delta", "cds"])
     @pytest.mark.parametrize(
-        "flag", [["--cost-model", "local"], ["--beta", "8"], ["--seed", "3"]]
+        "flag",
+        [
+            ["--cost-model", "local"],
+            ["--beta", "8"],
+            ["--seed", "3"],
+            ["--enum-budget", "24"],
+        ],
     )
     def test_removed_flags_rejected(self, command, flag, petersen_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -40,9 +40,7 @@ class TestDerandomizeClusterwise:
             p={0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
             c={v: Fraction(1) for v in range(3)},
         )
-        out = derandomize_clusterwise(
-            inst, single_cluster_decomposition(g), indep=3
-        )
+        out = derandomize_clusterwise(inst, single_cluster_decomposition(g))
         assert out.result.x[1] == 1
         assert out.fixes == []
 
@@ -50,16 +48,14 @@ class TestDerandomizeClusterwise:
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         inst = fractional_instance(g, {v: HALF for v in range(3)})
         nd = single_cluster_decomposition(g)
-        out = derandomize_clusterwise(inst, nd, indep=3)
+        out = derandomize_clusterwise(inst, nd)
         assert validate_cfds(g, out.result) == []
         assert out.result.size <= out.initial_expectation + Fraction(1, 3**6)
 
     def test_agrees_with_colorwise_on_size(self):
         g = cycle(5)
         inst = fractional_instance(g, {v: Fraction(3, 8) for v in range(5)})
-        cluster = derandomize_clusterwise(
-            inst, single_cluster_decomposition(g), indep=5
-        )
+        cluster = derandomize_clusterwise(inst, single_cluster_decomposition(g))
         colorw = derandomize_colorwise(
             inst, greedy_distance2_coloring(g, range(5))
         )
@@ -68,9 +64,7 @@ class TestDerandomizeClusterwise:
     def test_skipped_bits_recorded(self):
         g = Graph(2, [(0, 1)])
         inst = fractional_instance(g, {0: HALF, 1: HALF})
-        out = derandomize_clusterwise(
-            inst, single_cluster_decomposition(g), indep=2
-        )
+        out = derandomize_clusterwise(inst, single_cluster_decomposition(g))
         # p = 1/2 resolves after the first string bit; the rest are skipped
         assert any(f.skipped for f in out.fixes)
         decided = [f for f in out.fixes if not f.skipped]
@@ -78,34 +72,12 @@ class TestDerandomizeClusterwise:
         for f in decided:
             assert f.value == (0 if f.s0 < f.s1 else 1)
 
-    def test_cluster_order_immaterial(self):
-        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        inst = fractional_instance(g, {v: HALF for v in range(6)})
-        nd = compute_decomposition(g, 2)
-        assert len(nd.clusters) == 2 and nd.num_colors == 1
-        a = derandomize_clusterwise(inst, nd, indep=6, cluster_order="ascending")
-        b = derandomize_clusterwise(inst, nd, indep=6, cluster_order="descending")
-        assert a.result.x == b.result.x
-
     def test_round_bound_covers_simulated(self):
         g = cycle(6)
         inst = fractional_instance(g, {v: Fraction(3, 8) for v in range(6)})
         nd = compute_decomposition(g, 2)
-        out = derandomize_clusterwise(inst, nd, indep=6)
+        out = derandomize_clusterwise(inst, nd)
         assert out.simulated_rounds <= out.round_bound
-
-    def test_shared_seed_mode(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        inst = fractional_instance(g, {v: HALF for v in range(4)})
-        nd = single_cluster_decomposition(g)
-        # independence 2 < 4 members forces the shared polynomial seed
-        out = derandomize_clusterwise(
-            inst, nd, indep=2, poly_width=3, budget=8
-        )
-        assert validate_cfds(g, out.result) == []
-        assert out.result.size <= out.initial_expectation + Fraction(1, 4**6)
-        assert all(f.group == ("cluster", 0) for f in out.fixes)
-        assert len(out.fixes) == 2 * 3
 
     def test_separation_precondition(self):
         g = Graph(2, [(0, 1)])
@@ -113,7 +85,7 @@ class TestDerandomizeClusterwise:
         nd = single_cluster_decomposition(g)
         nd.k = 1
         with pytest.raises(PreconditionError):
-            derandomize_clusterwise(inst, nd, indep=2)
+            derandomize_clusterwise(inst, nd)
 
 
 class TestWrappers:

@@ -1,4 +1,4 @@
-"""Source hygiene: every name a library module imports is used there."""
+"""Source hygiene: every imported name and every parameter is used."""
 
 import ast
 from pathlib import Path
@@ -21,6 +21,42 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
+def _is_stub(fn) -> bool:
+    """A body of only ``...`` (after an optional docstring), as in a Protocol."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return bool(body) and all(
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and stmt.value.value is Ellipsis
+        for stmt in body
+    )
+
+
+def unused_parameters(source: str):
+    """``function(parameter)`` for each parameter its function never reads."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if _is_stub(fn):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id
+            for stmt in fn.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out.extend(
+            f"{fn.name}({a.arg})"
+            for a in params
+            if a.arg not in ("self", "cls") and a.arg not in read
+        )
+    return sorted(out)
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -28,6 +64,24 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_unused_parameter():
+    src = (
+        "class P:\n"
+        "    def step(self, state, inbox):\n"
+        "        ...\n"
+        "    def f(self, a, b, *args, c=1):\n"
+        "        return a + len(args)\n"
+        "def g(x):\n"
+        '    """Docstring only."""\n'
+    )
+    assert unused_parameters(src) == ["f(b)", "f(c)", "g(x)"]
 
 
 def test_detects_unused_name():

@@ -5,7 +5,7 @@ import pytest
 
 from congestds.cds import is_dominating
 from congestds.errors import DomainError, PreconditionError
-from congestds.generators import complete, generate_graph, petersen
+from congestds.generators import complete, generate_graph, gnp_connected, petersen
 from congestds.graph import Graph
 from congestds.oracles import brute_force_mds
 from congestds.pipeline import (
@@ -58,6 +58,20 @@ class TestMdsPipelines:
         assert is_dominating(g, ds)
         bound = (1 + Fraction(1, 2)) * (2 + ln_upper(10)) * 1
         assert len(ds) <= bound
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            complete(30),
+            generate_graph("star", {"m": 40}),
+            gnp_connected(60, 0.5, 1),
+        ],
+        ids=["K30", "star40", "gnp60"],
+    )
+    def test_high_degree_runs(self, runner, graph):
+        ds, report = runner(graph, Fraction(1, 2))
+        assert report.valid and is_dominating(graph, ds)
+        assert report.extras["opt_kind"] == "lp-estimate"
 
     def test_ratio_bound_holds(self, runner):
         for seed in range(3):
@@ -116,3 +130,10 @@ def test_lp_estimate_above_opt_cap():
     _, report = run_mds_n(petersen(), Fraction(1, 2), opt_cap=0)
     assert report.extras["opt_kind"] == "lp-estimate"
     assert sorted(report.params) == ["F", "delta_tilde", "eps", "eps1"]
+
+
+def test_delta_pipeline_high_degree():
+    g = gnp_connected(200, 0.2, 1)
+    ds, report = run_mds_delta(g, Fraction(1, 2))
+    assert report.valid and is_dominating(g, ds)
+    assert report.extras["opt_kind"] == "lp-estimate"

@@ -3,14 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from congestds.coins import make_coin_source
 from congestds.errors import DomainError, EnumerationBudgetError
 from congestds.graph import Graph
 from congestds.rounding import (
     IndependentCoinLaw,
     PartialAssignment,
     RoundingInstance,
-    SeededCoinLaw,
     conditional_expected_value,
     exact_uncover_prob,
     expected_output_size,
@@ -236,26 +234,21 @@ class TestExactExpectations:
         a.fix_bit(("coin", 0), 1, 1)  # string in [1/4, 1/2): all >= 5/16? no
         assert law.marginal(0, a) == Fraction(1, 4)
 
-    def test_seeded_law_marginals(self):
-        src = make_coin_source([0, 1, 2], k=2, b=3)
-        law = SeededCoinLaw("g", src, {v: HALF for v in range(3)})
-        dist = law.distribution("g", [0, 1], PartialAssignment())
-        assert sum(prob for prob, _ in dist) == 1
-        for v in (0, 1):
-            heads = sum(prob for prob, coins in dist if coins[v])
-            assert heads == HALF
-
     def test_budget_enforced(self):
-        src = make_coin_source(list(range(3)), k=2, b=3)
-        law = SeededCoinLaw("g", src, {v: HALF for v in range(3)})
-        g = Graph(3, [(0, 1), (1, 2)])
+        # star around node 0; the leaves' coins have p = 1/2 and distinct
+        # ratios 1/16, 1/8, 1/4, 1/2, so all 16 subset sums stay below c = 1
+        g = Graph(5, [(0, v) for v in range(1, 5)])
+        x = {0: Fraction(0)}
+        x.update({v: Fraction(1, 2 ** (6 - v)) for v in range(1, 5)})
+        p = {v: (HALF if v else Fraction(0)) for v in range(5)}
         inst = RoundingInstance(
-            graph=g,
-            x={v: HALF for v in range(3)},
-            p={v: HALF for v in range(3)},
-            c={v: Fraction(1) for v in range(3)},
+            graph=g, x=x, p=p, c={v: Fraction(1) for v in range(5)}
         )
+        assert [inst.ratio(v) for v in range(1, 5)] == [
+            Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), HALF
+        ]
+        law = IndependentCoinLaw({v: HALF for v in range(1, 5)}, b=4)
         with pytest.raises(EnumerationBudgetError):
-            exact_uncover_prob(inst, law, 1, budget=3)
-        # seed has 6 bits; a budget of 6 suffices
-        exact_uncover_prob(inst, law, 1, budget=6)
+            exact_uncover_prob(inst, law, 0, budget=3)
+        # 16 states fit in a budget of 2**4
+        assert exact_uncover_prob(inst, law, 0, budget=4) == 1
