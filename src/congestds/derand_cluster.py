@@ -113,9 +113,9 @@ def derandomize_clusterwise(
     round_bound = 0
     simulated = 0
     for color in sorted(by_color):
-        plans_here = sorted(by_color[color], key=lambda plan: plan[0].leader)
+        clusters_here = sorted(by_color[color], key=lambda cm: cm[0].leader)
         color_rounds = 0
-        for cl, members in plans_here:
+        for cl, members in clusters_here:
             depth = cl.tree.depth()
             aggregated = 0
             for v in members:
@@ -166,7 +166,7 @@ def derandomize_clusterwise(
         round_bound += max(
             (
                 len(members) * b * (2 * cl.tree.depth() + 2)
-                for cl, members in plans_here
+                for cl, members in clusters_here
             ),
             default=0,
         )
@@ -201,7 +201,6 @@ def n_one_shot(
     xprime: CFDS,
     F: int,
     decomp: Optional[NetworkDecomposition] = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
     verify: bool = True,
 ) -> Tuple[CFDS, ClusterOutcome]:
     """Deterministic one-shot rounding of a 1/F-fractional dominating set.
@@ -216,7 +215,7 @@ def n_one_shot(
     inst = one_shot_instance(graph, xprime)
     if decomp is None:
         decomp = compute_decomposition(graph, 2)
-    outcome = derandomize_clusterwise(inst, decomp, budget=budget, verify=verify)
+    outcome = derandomize_clusterwise(inst, decomp, verify=verify)
     result = outcome.result
     if not result.is_integral():
         raise InvariantViolation("one-shot output is not integral")

@@ -172,7 +172,6 @@ def delta_one_shot(
     graph: Graph,
     xprime: CFDS,
     F: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
     verify: bool = True,
 ) -> Tuple[CFDS, DerandOutcome]:
     """Deterministic one-shot rounding via the bipartite representation.
@@ -206,7 +205,7 @@ def delta_one_shot(
         raise InvariantViolation(
             f"value-side coloring used {coloring.num_colors} > F*Delta~ colors"
         )
-    outcome = derandomize_colorwise(inst, coloring, budget=budget, verify=verify)
+    outcome = derandomize_colorwise(inst, coloring, verify=verify)
     delta_l = max((host.degree(v) for v in range(n)), default=0)
     delta_r = max((host.degree(b) for b in range(n, 2 * n)), default=0)
     outcome.charged_rounds = coloring_round_cost(delta_l, delta_r, n)
