@@ -2,7 +2,7 @@
 
 A library plus CLI implementing derandomized rounding of fractional
 dominating sets (color-ordered and cluster-ordered conditional
-expectations), the supporting CONGEST-style round/message accounting, and a
+expectations), CONGEST round accounting, and a
 connected-dominating-set extension, with exact rational arithmetic on every
 invariant-bearing path.
 """
@@ -12,16 +12,13 @@ from .errors import (
     DomainError,
     EnumerationBudgetError,
     InvariantViolation,
-    MessageSizeError,
     PrecisionError,
     PreconditionError,
-    RoundBudgetError,
     StructuralError,
 )
 from .graph import Graph, format_graph, load_graph, parse_graph
 from .values import (
     CFDS,
-    FixedPoint,
     fractionality,
     quantize_up,
     validate_cfds,
@@ -37,14 +34,11 @@ __all__ = [
     "CongestDSError",
     "DomainError",
     "EnumerationBudgetError",
-    "FixedPoint",
     "Graph",
     "InvariantViolation",
-    "MessageSizeError",
     "PipelineParams",
     "PrecisionError",
     "PreconditionError",
-    "RoundBudgetError",
     "RunReport",
     "StructuralError",
     "brute_force_cds",

@@ -319,7 +319,8 @@ def build_cds(
 
     S-bar is S plus the pruned-tree connector nodes plus the inner nodes of
     the selected inter-cluster paths; its size is at most 3|S| + 2 * number
-    of selected paths.
+    of selected paths.  ``simulated_rounds`` is counted by the clustering
+    schedule's formula, 3 per phase, not by a simulation.
     """
     if not graph.is_connected():
         raise PreconditionError("connected dominating sets need a connected graph")

@@ -9,12 +9,10 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import (
+    CongestDSError,
     DomainError,
-    EnumerationBudgetError,
     InvariantViolation,
-    MessageSizeError,
-    PreconditionError,
-    RoundBudgetError,
+    StructuralError,
 )
 from .graph import format_graph, load_graph
 from .oracles import brute_force_cds, brute_force_mds
@@ -178,19 +176,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise DomainError(f"unknown command {args.command}")
-    except InvariantViolation as exc:
+    except (InvariantViolation, StructuralError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (
-        PreconditionError,
-        EnumerationBudgetError,
-        RoundBudgetError,
-        MessageSizeError,
-        DomainError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except (CongestDSError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -15,7 +15,31 @@ from typing import Dict, List, Optional
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
-from .sim import ClusterTree
+
+
+@dataclass
+class ClusterTree:
+    """A rooted spanning tree of a cluster.
+
+    ``parent`` maps each non-root member to its tree parent.
+    """
+
+    root: int
+    parent: Dict[int, int]
+
+    @property
+    def members(self) -> List[int]:
+        return sorted(set(self.parent) | {self.root})
+
+    def depth(self) -> int:
+        memo: Dict[int, int] = {self.root: 0}
+
+        def d(v: int) -> int:
+            if v not in memo:
+                memo[v] = d(self.parent[v]) + 1
+            return memo[v]
+
+        return max((d(v) for v in self.parent), default=0)
 
 
 @dataclass

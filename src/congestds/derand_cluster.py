@@ -86,8 +86,10 @@ def derandomize_clusterwise(
     most-significant first.  Colors are processed in order; within a color
     every cluster fixes its members' bits independently (their 2-hop
     neighborhoods are disjoint, so the iteration order between same-colored
-    clusters is immaterial).  Each aggregated bit costs 2*depth+2 simulated
-    rounds; bits of parallel clusters overlap.
+    clusters is immaterial).  Each aggregated bit costs 2*depth+2 rounds;
+    bits of parallel clusters overlap.  ``simulated_rounds`` and
+    ``round_bound`` are counted by this schedule's formula, not by a
+    simulation.
     """
     if decomp.k < 2:
         raise PreconditionError(

@@ -79,9 +79,10 @@ def derandomize_colorwise(
 
     The coloring must cover exactly S = {v : p(v) not in {0, 1}} and be a
     proper distance-2 coloring in the host graph.  Per color class the run
-    costs 3 simulated rounds (exchange fixed coins, branch expectations,
-    decisions).  With ``verify`` the output size is checked against the
-    exact initial expectation plus the quantization slack 1/n^7.
+    costs 3 rounds (exchange fixed coins, branch expectations, decisions);
+    ``simulated_rounds`` is counted by this schedule's formula, 3 per class,
+    not by a simulation.  With ``verify`` the output size is checked against
+    the exact initial expectation plus the quantization slack 1/n^7.
     """
     S = inst.participating()
     if set(coloring.color) != set(S):

@@ -148,6 +148,13 @@ class Graph:
 # so trailing isolated nodes survive a round trip.
 
 
+def _ints(tokens: Sequence[str], lineno: int, raw: str) -> List[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise DomainError(f"line {lineno}: expected integers, got {raw!r}") from None
+
+
 def parse_graph(text: str) -> Graph:
     n_declared: Optional[int] = None
     edges: List[Tuple[int, int]] = []
@@ -160,11 +167,11 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "n":
             if len(parts) != 2:
                 raise DomainError(f"line {lineno}: malformed header {raw!r}")
-            n_declared = int(parts[1])
+            (n_declared,) = _ints(parts[1:], lineno, raw)
             continue
         if len(parts) != 2:
             raise DomainError(f"line {lineno}: expected 'u v', got {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _ints(parts, lineno, raw)
         edges.append((u, v))
         max_id = max(max_id, u, v)
     n = n_declared if n_declared is not None else max_id + 1

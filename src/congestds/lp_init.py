@@ -76,7 +76,7 @@ def _lp_solution(graph: Graph) -> Tuple[Fraction, ...]:
         raise StructuralError("LP produced an all-zero neighborhood")
     if min_sum < 1:
         raw = [min(ONE, val / min_sum) for val in raw]
-    x = {v: Fraction(quantize_up(raw[v], n)) for v in range(n)}
+    x = {v: quantize_up(raw[v], n) for v in range(n)}
     d = CFDS.fds(x)
     bad = validate_cfds(graph, d)
     if bad:
@@ -101,6 +101,6 @@ def initial_fds(
     if delta == 0:
         return CFDS.fds({v: ONE for v in range(n)})
     base = lp_fractional_opt(graph, eps / 2, stats)
-    floor = Fraction(quantize_up(min(ONE, eps / (2 * delta)), n))
+    floor = quantize_up(min(ONE, eps / (2 * delta)), n)
     x = {v: max(base.x[v], floor) for v in range(n)}
     return CFDS.fds(x)

@@ -40,7 +40,6 @@ class PipelineParams:
 
     eps: Fraction
     eps1: Fraction
-    F: int
     delta_tilde: int
 
     @classmethod
@@ -48,11 +47,8 @@ class PipelineParams:
         eps = Fraction(eps)
         if eps <= 0 or eps > 1:
             raise DomainError(f"eps must be in (0, 1], got {eps}")
-        dt = graph.delta_tilde
         eps1 = min(eps / 16, Fraction(1, 4))
-        ln_dt = ln_upper(max(dt, 2))
-        F = math.ceil(256 * float(eps1) ** -3 * float(ln_dt))
-        return cls(eps=eps, eps1=eps1, F=F, delta_tilde=dt)
+        return cls(eps=eps, eps1=eps1, delta_tilde=graph.delta_tilde)
 
 
 def _frac_str(value) -> str:
@@ -178,7 +174,6 @@ def _params_obj(params: PipelineParams) -> Dict:
     return {
         "eps": _frac_str(params.eps),
         "eps1": _frac_str(params.eps1),
-        "F": params.F,
         "delta_tilde": params.delta_tilde,
     }
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .coins import coin_threshold
 from .errors import (
     DomainError,
     EnumerationBudgetError,
@@ -92,7 +91,7 @@ class RoundingInstance:
         val = self.x[v] / self.p[v]
         if val >= 1:
             return ONE
-        return Fraction(quantize_up(val, max(self.ambient_n, 2)))
+        return quantize_up(val, max(self.ambient_n, 2))
 
     def participating(self) -> List[int]:
         """Nodes with 0 < p < 1: the ones whose coin matters."""
@@ -159,7 +158,7 @@ def scale_values(
     p: Dict[int, Fraction] = {}
     for v, val in xprime.x.items():
         val = factor * val
-        x[v] = ONE if val >= 1 else Fraction(quantize_up(val, width))
+        x[v] = ONE if val >= 1 else quantize_up(val, width)
         if r is None:
             p[v] = x[v]
         else:
@@ -229,6 +228,17 @@ class PartialAssignment:
         )
 
 
+def coin_threshold(p: Fraction, b: int) -> int:
+    """p * 2^b as an integer; PrecisionError if p is not a multiple of 2^-b."""
+    scaled = Fraction(p) * (1 << b)
+    if scaled.denominator != 1:
+        raise PrecisionError(f"probability {p} is not a multiple of 2**-{b}")
+    t = int(scaled)
+    if not 0 <= t <= (1 << b):
+        raise DomainError(f"probability {p} outside [0, 1]")
+    return t
+
+
 class IndependentCoinLaw:
     """Fully independent coins, one private b-bit uniform string per node.
 
@@ -265,10 +275,6 @@ class IndependentCoinLaw:
         lo = prefix << rem
         width = 1 << rem
         return min(max(self.thresholds[v] - lo, 0), width), width
-
-    def marginal(self, v: int, assignment: PartialAssignment) -> Fraction:
-        """Pr(coin_v = 1) given the fixed coin or string prefix."""
-        return Fraction(*self._heads(v, assignment))
 
     def resolved_coin(
         self, v: int, assignment: PartialAssignment

@@ -31,41 +31,13 @@ def iota_for(n: int) -> int:
     return (target - 1).bit_length()
 
 
-class FixedPoint(Fraction):
-    """A transmittable value: a multiple of 2**-iota in [0, 1].
-
-    Behaves as a :class:`Fraction`; additionally remembers the scale exponent
-    and exposes the unreduced numerator at that scale.
-    """
-
-    iota: int
-
-    def __new__(cls, numerator: int, iota: int):
-        if numerator < 0 or numerator > (1 << iota):
-            raise DomainError(
-                f"fixed-point numerator {numerator} out of [0, 2**{iota}]"
-            )
-        self = super().__new__(cls, numerator, 1 << iota)
-        self.iota = iota
-        return self
-
-    @property
-    def scaled_numerator(self) -> int:
-        return int(self * (1 << self.iota))
-
-    @classmethod
-    def from_value(cls, value, iota: int) -> "FixedPoint":
-        """Round *value* up to the next multiple of 2**-iota (capped at 1)."""
-        frac = Fraction(value)
-        if frac < 0 or frac > 1:
-            raise DomainError(f"value {frac} outside [0, 1]")
-        num = -((-frac.numerator << iota) // frac.denominator)  # ceil
-        return cls(min(num, 1 << iota), iota)
-
-
-def quantize_up(value, n: int) -> FixedPoint:
-    """Smallest multiple of 2**-iota(n) that is >= value, capped at 1."""
-    return FixedPoint.from_value(value, iota_for(n))
+def quantize_up(value, n: int) -> Fraction:
+    """Smallest multiple of 2**-iota(n) that is >= value, for value in [0, 1]."""
+    frac = Fraction(value)
+    if frac < 0 or frac > 1:
+        raise DomainError(f"value {frac} outside [0, 1]")
+    iota = iota_for(n)
+    return Fraction(-((-frac.numerator << iota) // frac.denominator), 1 << iota)
 
 
 def ceil_to_multiple(value: Fraction, unit: Fraction) -> Fraction:

@@ -8,7 +8,6 @@ strong invariant bucket followed by exact isomorphism checks.
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import lru_cache
 from typing import Dict, List, Tuple

@@ -2,7 +2,16 @@ import json
 
 import pytest
 
+from congestds import cli
 from congestds.cli import main
+from congestds.errors import (
+    DomainError,
+    EnumerationBudgetError,
+    InvariantViolation,
+    PrecisionError,
+    PreconditionError,
+    StructuralError,
+)
 from congestds.graph import format_graph, parse_graph
 from congestds.generators import petersen
 
@@ -49,6 +58,38 @@ class TestPipelineCommands:
         with pytest.raises(SystemExit) as exc:
             main(["mds-n", "--input", petersen_file, "--epsilon", text])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (InvariantViolation, 2),
+            (StructuralError, 2),
+            (PrecisionError, 3),
+            (PreconditionError, 3),
+            (EnumerationBudgetError, 3),
+            (DomainError, 3),
+        ],
+    )
+    def test_library_error_exit_code(
+        self, error, code, petersen_file, monkeypatch, capsys
+    ):
+        def failing_runner(graph, eps, opt_cap):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run_mds_n", failing_runner)
+        assert main(["mds-n", "--input", petersen_file]) == code
+        err = capsys.readouterr().err
+        assert "boom" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text", ["0 1\na b\n", "n abc\n0 1\n"], ids=["edge", "header"]
+    )
+    def test_non_integer_graph_token(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["mds-n", "--input", str(path)]) == 3
+        assert "expected integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["mds-n", "mds-delta", "cds"])
     @pytest.mark.parametrize(

@@ -3,83 +3,67 @@ from fractions import Fraction
 
 import pytest
 
-from congestds.coins import (
-    CoinSource,
-    coin_threshold,
-    draw_coin,
-    irreducible_poly,
-    make_coin_source,
-)
 from congestds.errors import DomainError, PrecisionError
+from congestds.rounding import IndependentCoinLaw, PartialAssignment, coin_threshold
 
 
-class TestField:
-    @pytest.mark.parametrize("width", [2, 3, 4, 8, 10, 16])
-    def test_irreducible_polys(self, width):
-        mod = irreducible_poly(width)
-        assert mod.bit_length() == width + 1
-        # x^(2^width) == x in the field confirms irreducibility was verified
-        from congestds.coins import _gf_mul
-
-        val = 0b10
-        for _ in range(width):
-            val = _gf_mul(val, val, mod, width)
-        assert val == 0b10
+def fix_string(assignment, v, value, b):
+    """Pin all b bits of node v's coin string to *value*, most-significant first."""
+    for i in range(b):
+        assignment.fix_bit(("coin", v), i, (value >> (b - 1 - i)) & 1)
 
 
 class TestDrawCoin:
     def test_p_one_always_heads(self):
-        src = make_coin_source([0, 1, 2], k=2, b=4)
-        for seed in range(50):
-            bits = [(seed >> i) & 1 for i in range(src.K)]
-            assert draw_coin(src.with_seed(bits), 1, Fraction(1)) == 1
+        law = IndependentCoinLaw({0: Fraction(0), 1: Fraction(1)}, b=4)
+        for value in range(16):
+            a = PartialAssignment()
+            fix_string(a, 1, value, 4)
+            assert law.resolved_coin(1, a) == 1
+        assert law.resolved_coin(1, PartialAssignment()) == 1
 
     def test_p_zero_always_tails(self):
-        src = make_coin_source([0, 1, 2], k=2, b=4)
-        for seed in range(50):
-            bits = [(seed >> i) & 1 for i in range(src.K)]
-            assert draw_coin(src.with_seed(bits), 2, Fraction(0)) == 0
+        law = IndependentCoinLaw({0: Fraction(1), 2: Fraction(0)}, b=4)
+        for value in range(16):
+            a = PartialAssignment()
+            fix_string(a, 2, value, 4)
+            assert law.resolved_coin(2, a) == 0
+        assert law.resolved_coin(2, PartialAssignment()) == 0
 
     def test_unrepresentable_probability(self):
-        src = make_coin_source([0, 1], k=2, b=4)
         with pytest.raises(PrecisionError):
-            draw_coin(src, 0, Fraction(1, 3))
+            coin_threshold(Fraction(1, 3), 4)
+        with pytest.raises(PrecisionError):
+            IndependentCoinLaw({0: Fraction(1, 3)}, b=4)
 
     def test_threshold(self):
         assert coin_threshold(Fraction(1, 2), 4) == 8
         assert coin_threshold(Fraction(3, 16), 4) == 3
 
     def test_pairwise_independence_exhaustive(self):
-        # k=2, b=4: over all 2^8 seeds, every coin at p=1/2 is heads in
-        # exactly half the seeds and every pair has product-form joints
-        src = make_coin_source(list(range(8)), k=2, b=4)
-        p = Fraction(1, 2)
-        outcomes = []
-        for seed_val in range(1 << src.K):
-            bits = [(seed_val >> (src.K - 1 - i)) & 1 for i in range(src.K)]
-            s = src.with_seed(bits)
-            outcomes.append([draw_coin(s, v, p) for v in range(8)])
-        total = len(outcomes)
-        for v in range(8):
-            assert sum(o[v] for o in outcomes) * 2 == total
-        for u, v in itertools.combinations(range(8), 2):
-            for a, b in itertools.product((0, 1), repeat=2):
-                count = sum(1 for o in outcomes if o[u] == a and o[v] == b)
-                assert Fraction(count, total) == Fraction(1, 4)
-
-    def test_distinct_points_required(self):
-        with pytest.raises(DomainError):
-            CoinSource(k=2, b=2, points={0: 1, 1: 1})
+        # b=4: over all 2^8 joint strings of any two nodes, each coin is
+        # heads with its own probability and every pair has product-form joints
+        p = {v: Fraction(v + 1, 16) for v in range(6)}
+        law = IndependentCoinLaw(p, b=4)
+        for u, v in itertools.combinations(range(6), 2):
+            outcomes = []
+            for su, sv in itertools.product(range(16), repeat=2):
+                a = PartialAssignment()
+                fix_string(a, u, su, 4)
+                fix_string(a, v, sv, 4)
+                outcomes.append((law.resolved_coin(u, a), law.resolved_coin(v, a)))
+            total = len(outcomes)
+            for cu, cv in itertools.product((0, 1), repeat=2):
+                count = sum(1 for o in outcomes if o == (cu, cv))
+                pu = p[u] if cu else 1 - p[u]
+                pv = p[v] if cv else 1 - p[v]
+                assert Fraction(count, total) == pu * pv
 
     def test_seed_length_checked(self):
+        law = IndependentCoinLaw({0: Fraction(1, 2)}, b=4)
+        a = PartialAssignment()
+        a.fix_bit(("coin", 0), 1, 1)
         with pytest.raises(DomainError):
-            CoinSource(k=2, b=4, points={0: 0}, seed_bits=[0] * 7)
-
-    def test_coefficients_roundtrip(self):
-        src = CoinSource(k=2, b=4, points={0: 0, 1: 1},
-                         seed_bits=[1, 0, 1, 0, 0, 1, 1, 0])
-        assert src.coefficients() == [0b1010, 0b0110]
-
-    def test_default_width_capped(self):
-        src = make_coin_source(list(range(5)), k=2)
-        assert src.b == 16
+            law.resolved_coin(0, a)
+        with pytest.raises(DomainError):
+            a.fix_bit(("coin", 0), 1, 0)

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from congestds.decomp import (
     Cluster,
+    ClusterTree,
     NetworkDecomposition,
     compute_decomposition,
     decomposition_charge,
@@ -11,7 +12,6 @@ from congestds.decomp import (
 )
 from congestds.errors import DomainError, StructuralError
 from congestds.graph import Graph
-from congestds.sim import ClusterTree
 
 
 def path(n):

@@ -70,6 +70,15 @@ class TestFileFormat:
         with pytest.raises(DomainError):
             parse_graph("0 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("a b\n", 1), ("0 1\n1 x\n", 2), ("n abc\n0 1\n", 1)],
+        ids=["edge", "second-edge", "header"],
+    )
+    def test_non_integer_token(self, text, line):
+        with pytest.raises(DomainError, match=f"line {line}:"):
+            parse_graph(text)
+
     def test_roundtrip_preserves_isolated_nodes(self):
         g = Graph(6, [(0, 1), (2, 3)])
         assert parse_graph(format_graph(g)) == g

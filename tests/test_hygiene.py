@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "congestds"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "congestds"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -61,7 +63,11 @@ def test_modules_found():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=lambda p: p.stem if p.parent == SRC else f"tests.{p.stem}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

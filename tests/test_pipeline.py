@@ -23,7 +23,6 @@ class TestParams:
         p = PipelineParams.from_graph(g, Fraction(1, 2))
         assert p.eps1 == Fraction(1, 32)
         assert p.delta_tilde == 4
-        assert p.F >= 256 * 32**3  # eps1^-3 factor dominates
 
     def test_eps_range(self):
         g = complete(3)
@@ -129,7 +128,7 @@ class TestCdsPipeline:
 def test_lp_estimate_above_opt_cap():
     _, report = run_mds_n(petersen(), Fraction(1, 2), opt_cap=0)
     assert report.extras["opt_kind"] == "lp-estimate"
-    assert sorted(report.params) == ["F", "delta_tilde", "eps", "eps1"]
+    assert sorted(report.params) == ["delta_tilde", "eps", "eps1"]
 
 
 def test_delta_pipeline_high_degree():

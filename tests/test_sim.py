@@ -1,116 +1,8 @@
-from fractions import Fraction
-
 import pytest
 
-from congestds.errors import (
-    DomainError,
-    MessageSizeError,
-    PrecisionError,
-    RoundBudgetError,
-)
-from congestds.graph import Graph
-from congestds.sim import (
-    ClusterTree,
-    RoundStats,
-    charge_oracle,
-    message_bits,
-    run,
-    tree_aggregate_sum,
-)
-
-
-class Idle:
-    def step(self, round_no, inbox):
-        return {}, True
-
-
-class Flood:
-    """Forwards a token to higher-id neighbors, then halts."""
-
-    def __init__(self, node, neighbors, has_token):
-        self.node = node
-        self.neighbors = neighbors
-        self.has_token = has_token
-
-    def step(self, round_no, inbox):
-        if inbox:
-            self.has_token = True
-        if self.has_token:
-            out = {u: "tok" for u in self.neighbors if u > self.node}
-            return out, True
-        return {}, False
-
-
-class TestRun:
-    def test_immediate_halt_zero_rounds(self):
-        g = Graph(1, [])
-        stats = run(g, {0: Idle()}, limit=10)
-        assert stats.simulated_rounds == 0
-
-    def test_flood_p3_two_rounds(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        programs = {v: Flood(v, g.adj[v], v == 0) for v in range(3)}
-        stats = run(g, programs, limit=10)
-        assert programs[2].has_token
-        assert stats.simulated_rounds == 2
-
-    def test_oversized_message(self):
-        class Shout:
-            def __init__(self, nbrs):
-                self.nbrs = nbrs
-
-            def step(self, round_no, inbox):
-                return {u: "x" * 125000 for u in self.nbrs}, True
-
-        g = Graph(8, [(i, i + 1) for i in range(7)])
-        programs = {v: Shout(g.adj[v]) for v in range(8)}
-        with pytest.raises(MessageSizeError) as exc:
-            run(g, programs, limit=5, beta=32)
-        assert exc.value.bits > exc.value.limit
-
-    def test_local_model_unbounded(self):
-        class Shout:
-            def __init__(self, nbrs):
-                self.nbrs = nbrs
-
-            def step(self, round_no, inbox):
-                return {u: "x" * 10000 for u in self.nbrs}, True
-
-        g = Graph(2, [(0, 1)])
-        stats = run(g, {v: Shout(g.adj[v]) for v in range(2)}, limit=5,
-                    cost_model="local")
-        assert stats.max_message_bits > 32 * 11
-
-    def test_budget_exhaustion(self):
-        class Forever:
-            def step(self, round_no, inbox):
-                return {}, False
-
-        g = Graph(1, [])
-        with pytest.raises(RoundBudgetError):
-            run(g, {0: Forever()}, limit=3)
-
-    def test_non_neighbor_rejected(self):
-        class Bad:
-            def step(self, round_no, inbox):
-                return {1: "x"}, True
-
-        g = Graph(2, [])
-        with pytest.raises(DomainError):
-            run(g, {0: Bad(), 1: Idle()}, limit=5)
-
-    def test_determinism(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-
-        def make():
-            return {v: Flood(v, g.adj[v], v == 0) for v in range(3)}
-
-        s1 = run(g, make(), limit=10)
-        s2 = run(g, make(), limit=10)
-        assert (s1.simulated_rounds, s1.max_message_bits) == (
-            s2.simulated_rounds,
-            s2.max_message_bits,
-        )
+from congestds.decomp import ClusterTree
+from congestds.errors import DomainError
+from congestds.sim import RoundStats, charge_oracle
 
 
 class TestChargeOracle:
@@ -128,44 +20,8 @@ class TestChargeOracle:
 
 
 class TestTreeAggregate:
-    def test_singleton(self):
-        tree = ClusterTree(root=0, parent={})
-        stats = RoundStats()
-        total = tree_aggregate_sum(tree, {0: Fraction(1, 2)}, n=2, stats=stats)
-        assert total == Fraction(1, 2)
-        assert stats.simulated_rounds == 0
-
-    def test_star(self):
-        tree = ClusterTree(root=0, parent={1: 0, 2: 0, 3: 0, 4: 0})
-        vals = {v: Fraction(1, 4) for v in range(1, 5)}
-        stats = RoundStats()
-        total = tree_aggregate_sum(tree, vals, n=5, stats=stats)
-        assert total == 1
-        assert stats.simulated_rounds <= 2
-
-    def test_path_depth_three(self):
-        tree = ClusterTree(root=0, parent={1: 0, 2: 1, 3: 2})
-        vals = {v: Fraction(v, 8) for v in range(4)}
-        stats = RoundStats()
-        total = tree_aggregate_sum(tree, vals, n=3, stats=stats)
-        assert total == sum(vals.values())
-        assert stats.simulated_rounds <= 8
-
-    def test_fringe_forwarding(self):
-        tree = ClusterTree(root=0, parent={1: 0}, fringe_parent={5: 1})
-        vals = {0: Fraction(1, 4), 1: Fraction(1, 4), 5: Fraction(1, 2)}
-        assert tree_aggregate_sum(tree, vals, n=2) == 1
-
-    def test_unquantized_rejected(self):
-        tree = ClusterTree(root=0, parent={})
-        with pytest.raises(PrecisionError):
-            tree_aggregate_sum(tree, {0: Fraction(1, 3)}, n=2)
-
     def test_depth(self):
+        # a cluster tree's depth sets the 2*depth+2 rounds charged per aggregated bit
         tree = ClusterTree(root=0, parent={1: 0, 2: 1, 3: 1})
         assert tree.depth() == 2
         assert tree.members == [0, 1, 2, 3]
-
-
-def test_message_bits_canonical():
-    assert message_bits({"b": 1, "a": 2}) == message_bits({"a": 2, "b": 1})

@@ -7,7 +7,6 @@ from congestds.errors import DomainError
 from congestds.graph import Graph
 from congestds.values import (
     CFDS,
-    FixedPoint,
     ceil_to_multiple,
     fractionality,
     iota_for,
@@ -23,7 +22,7 @@ class TestQuantize:
     def test_point_three_at_two_nodes(self):
         q = quantize_up(Fraction(3, 10), 2)
         assert q == Fraction(308, 1024)
-        assert q.iota == 10
+        assert (q * 1024).denominator == 1
 
     def test_zero(self):
         assert quantize_up(0, 5) == 0
@@ -64,19 +63,6 @@ class TestQuantize:
         assert ceil_to_multiple(Fraction(1, 4), unit) == Fraction(1, 4)
         assert is_multiple_of(Fraction(5, 8), unit)
         assert not is_multiple_of(Fraction(1, 3), unit)
-
-
-class TestFixedPoint:
-    def test_scaled_numerator(self):
-        fp = FixedPoint(308, 10)
-        assert fp.scaled_numerator == 308
-        assert fp == Fraction(308, 1024)
-
-    def test_range_check(self):
-        with pytest.raises(DomainError):
-            FixedPoint(1025, 10)
-        with pytest.raises(DomainError):
-            FixedPoint(-1, 10)
 
 
 class TestCFDS:
