@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .cds import build_cds
@@ -129,11 +128,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=65536)
-def _brute_mds_size(graph: Graph, cap: int) -> int:
-    return brute_force_mds(graph, cap=cap)[0]
-
-
 def _opt_estimate(
     graph: Graph, opt_cap: int
 ) -> Tuple[Fraction, str]:
@@ -145,7 +139,7 @@ def _opt_estimate(
     certifies neither a lower nor an upper bound on OPT.
     """
     if graph.n <= opt_cap:
-        return Fraction(_brute_mds_size(graph, opt_cap)), "brute-force"
+        return Fraction(brute_force_mds(graph, cap=opt_cap)[0]), "brute-force"
     lp = lp_fractional_opt(graph, Fraction(1, 100))
     return lp.size, "lp-estimate"
 

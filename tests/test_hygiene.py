@@ -23,24 +23,11 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
-def _is_stub(fn) -> bool:
-    """A body of only ``...`` (after an optional docstring), as in a Protocol."""
-    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
-    return bool(body) and all(
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and stmt.value.value is Ellipsis
-        for stmt in body
-    )
-
-
 def unused_parameters(source: str):
     """``function(parameter)`` for each parameter its function never reads."""
     out = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if _is_stub(fn):
             continue
         args = fn.args
         params = args.posonlyargs + args.args + args.kwonlyargs
@@ -80,8 +67,6 @@ def test_no_unused_parameters(path):
 def test_detects_unused_parameter():
     src = (
         "class P:\n"
-        "    def step(self, state, inbox):\n"
-        "        ...\n"
         "    def f(self, a, b, *args, c=1):\n"
         "        return a + len(args)\n"
         "def g(x):\n"

@@ -1,14 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
+from scipy import sparse
 
+import congestds.lp_init as lp_init
 from congestds.errors import DomainError
 from congestds.generators import complete, generate_graph, petersen
 from congestds.graph import Graph
-from congestds.lp_init import initial_fds, lp_fractional_opt, lp_round_charge
+from congestds.lp_init import (
+    IPM_MIN_NODES,
+    initial_fds,
+    lp_fractional_opt,
+    lp_round_charge,
+)
 from congestds.oracles import brute_force_mds
 from congestds.sim import RoundStats
-from congestds.values import validate_cfds
+from congestds.values import CFDS, validate_cfds
 
 TOL = Fraction(1, 4)
 
@@ -86,3 +94,56 @@ class TestInitialFds:
     def test_deterministic(self):
         g = generate_graph("gnp", {"n": 12, "p": 0.3}, seed=5)
         assert initial_fds(g, TOL).x == initial_fds(g, TOL).x
+
+
+class TestSolverSplit:
+    """Dual simplex below IPM_MIN_NODES nodes, interior point from there on,
+    both on a sparse constraint matrix.  ``__wrapped__`` bypasses the cache."""
+
+    def test_method_by_size(self, monkeypatch):
+        calls = []
+        real = lp_init.linprog
+
+        def recording(*args, **kwargs):
+            calls.append((kwargs["method"], kwargs["A_ub"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp_init, "linprog", recording)
+        for n in (10, IPM_MIN_NODES):
+            g = generate_graph("path", {"n": n})
+            x = lp_init._lp_solution.__wrapped__(g)
+            assert validate_cfds(g, CFDS.fds(dict(enumerate(x)))) == []
+        assert [method for method, _ in calls] == ["highs", "highs-ipm"]
+        assert all(sparse.issparse(a) for _, a in calls)
+
+    def test_simplex_side_equals_dense_solve(self, monkeypatch):
+        """Below the constant, the sparse solve repairs to exactly the
+        solution of a dense-matrix ``highs`` solve."""
+        real = lp_init.linprog
+
+        def dense_highs(c, A_ub, b_ub, bounds, method):
+            n = len(c)
+            return real(
+                c=c,
+                A_ub=A_ub.toarray(),
+                b_ub=b_ub,
+                bounds=[(0.0, 1.0)] * n,
+                method="highs",
+            )
+
+        rng = random.Random(8)
+        graphs = []
+        while len(graphs) < 20:
+            n = rng.randint(10, IPM_MIN_NODES - 1)
+            p = rng.uniform(1.5, 4.0) / n
+            edges = [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if rng.random() < p
+            ]
+            g = Graph(n, edges)
+            if g.max_degree > 0:
+                graphs.append(g)
+        solve = lp_init._lp_solution.__wrapped__
+        sparse_x = [solve(g) for g in graphs]
+        monkeypatch.setattr(lp_init, "linprog", dense_highs)
+        assert sparse_x == [solve(g) for g in graphs]

@@ -1,9 +1,38 @@
+from itertools import combinations
+
 import pytest
 
 from congestds.errors import PreconditionError
 from congestds.generators import complete, generate_graph, petersen
 from congestds.graph import Graph
 from congestds.oracles import brute_force_cds, brute_force_mds
+
+from corpus_util import connected_atlas, random_connected
+
+
+def enumerated_mds_size(graph: Graph) -> int:
+    """Reference: subset enumeration, smallest size first.
+
+    It starts at the counting bound ceil(n / max |N[v]|), below which no set
+    can dominate, so that the 24-node edgeless graph is one subset, not 2^24.
+    """
+    n = graph.n
+    masks = graph.closed_masks()
+    full = (1 << n) - 1
+    widest = max(m.bit_count() for m in masks)
+    for size in range(-(-n // widest), n + 1):
+        for subset in combinations(range(n), size):
+            covered = 0
+            for v in subset:
+                covered |= masks[v]
+            if covered == full:
+                return size
+    raise AssertionError("the full node set always dominates")
+
+
+def comb(teeth: int) -> Graph:
+    spine = [(i, i + 1) for i in range(teeth - 1)]
+    return Graph(2 * teeth, spine + [(i, teeth + i) for i in range(teeth)])
 
 
 class TestMds:
@@ -32,6 +61,21 @@ class TestMds:
     def test_cap(self):
         with pytest.raises(PreconditionError):
             brute_force_mds(Graph(5, []), cap=4)
+
+    def test_matches_enumeration(self):
+        graphs = (
+            list(connected_atlas(7))
+            + list(random_connected(300, max_n=16, seed=11))
+            + [comb(12), Graph(24, []), complete(24)]
+        )
+        for g in graphs:
+            size, members = brute_force_mds(g)
+            assert size == enumerated_mds_size(g)
+            assert len(set(members)) == size
+            covered = 0
+            for v in members:
+                covered |= g.closed_masks()[v]
+            assert covered == (1 << g.n) - 1
 
 
 class TestCds:
