@@ -22,9 +22,7 @@ from .decomp import (
 from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
 from .rounding import (
-    DEFAULT_ENUM_BUDGET,
     IndependentCoinLaw,
-    PartialAssignment,
     RoundingInstance,
     _check_fractional,
     branch_sum,
@@ -76,7 +74,6 @@ class ClusterOutcome:
 def derandomize_clusterwise(
     inst: RoundingInstance,
     decomp: NetworkDecomposition,
-    budget: int = DEFAULT_ENUM_BUDGET,
     verify: bool = True,
     log_expectations: bool = False,
 ) -> ClusterOutcome:
@@ -100,14 +97,11 @@ def derandomize_clusterwise(
     unit = Fraction(1, n**10)
     b = iota_for(n)
     law = IndependentCoinLaw({v: inst.p[v] for v in inst.participating()}, b=b)
-    assignment = PartialAssignment()
-    initial = (
-        expected_output_size(inst, law, assignment, budget) if verify else None
-    )
+    initial = expected_output_size(inst, law) if verify else None
     # per color, each cluster with its participating members, ascending
     by_color: Dict[int, List[Tuple[Cluster, List[int]]]] = {}
     for cl in decomp.clusters:
-        members = [v for v in cl.members if v in law.p]
+        members = [v for v in cl.members if v in law.heads]
         if members:
             by_color.setdefault(decomp.color[cl.leader], []).append((cl, members))
     fixes: List[BitFixRecord] = []
@@ -124,34 +118,33 @@ def derandomize_clusterwise(
                 group = ("coin", v)
                 affected = inst.graph.closed_neighbors(v)
                 for bit_index in range(b):
-                    if law.resolved_coin(v, assignment) is not None:
-                        fixes.append(
+                    if law.resolved_coin(v) is not None:
+                        # the remaining bits change nothing: log them skipped
+                        fixes.extend(
                             BitFixRecord(
                                 cluster=cl.leader,
                                 color=color,
                                 group=group,
-                                bit_index=bit_index,
+                                bit_index=rest,
                                 s0=None,
                                 s1=None,
                                 value=None,
                                 skipped=True,
                             )
+                            for rest in range(bit_index, b)
                         )
-                        continue
+                        break
+                    saved = law.state(v)
                     sums = {}
                     for branch in (0, 1):
-                        trial = assignment.copy()
-                        trial.fix_bit(group, bit_index, branch)
-                        sums[branch] = branch_sum(
-                            inst, law, affected, trial, unit, budget
-                        )
+                        law.fix_bit(v, bit_index, branch)
+                        sums[branch] = branch_sum(inst, law, affected, unit)
+                        law.restore(v, saved)
                     value = 0 if sums[0] < sums[1] else 1
-                    assignment.fix_bit(group, bit_index, value)
+                    law.fix_bit(v, bit_index, value)
                     aggregated += 1
                     if log_expectations:
-                        expectation_log.append(
-                            expected_output_size(inst, law, assignment, budget)
-                        )
+                        expectation_log.append(expected_output_size(inst, law))
                     fixes.append(
                         BitFixRecord(
                             cluster=cl.leader,
@@ -174,7 +167,7 @@ def derandomize_clusterwise(
         )
     simulated += 2  # final phase-1 / phase-2 value exchange
     round_bound += 2
-    result = run_phases(inst, law, assignment)
+    result = run_phases(inst, law)
     bad = validate_cfds(inst.graph, result)
     if bad:
         raise InvariantViolation(f"clusterwise output violates constraints at {bad}")
@@ -233,7 +226,6 @@ def n_factor_two(
     eps,
     r: int,
     decomp: Optional[NetworkDecomposition] = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
     verify: bool = True,
 ) -> Tuple[CFDS, ClusterOutcome]:
     """Deterministic factor-two rounding of a 1/r-fractional dominating set.
@@ -257,7 +249,7 @@ def n_factor_two(
     inst = factor_two_instance(graph, xprime, eps, r)
     if decomp is None:
         decomp = compute_decomposition(graph, 2)
-    outcome = derandomize_clusterwise(inst, decomp, budget=budget, verify=verify)
+    outcome = derandomize_clusterwise(inst, decomp, verify=verify)
     result = outcome.result
     bad = validate_cfds(graph, result)
     if bad:

@@ -24,9 +24,7 @@ from .bipartite import (
 from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
 from .rounding import (
-    DEFAULT_ENUM_BUDGET,
     IndependentCoinLaw,
-    PartialAssignment,
     RoundingInstance,
     _check_fractional,
     branch_sum,
@@ -71,7 +69,6 @@ class DerandOutcome:
 def derandomize_colorwise(
     inst: RoundingInstance,
     coloring: Coloring,
-    budget: int = DEFAULT_ENUM_BUDGET,
     verify: bool = True,
     log_expectations: bool = False,
 ) -> DerandOutcome:
@@ -96,32 +93,28 @@ def derandomize_colorwise(
         {v: inst.p[v] for v in S}, b=iota_for(n)
     )
     unit = Fraction(1, n**10)
-    assignment = PartialAssignment()
-    initial = (
-        expected_output_size(inst, law, assignment, budget) if verify else None
-    )
+    initial = expected_output_size(inst, law) if verify else None
     decisions: List[DecisionRecord] = []
     expectation_log: List[Fraction] = []
     for color_idx, members in enumerate(coloring.classes(), start=1):
         for v in members:
             affected = inst.graph.closed_neighbors(v)
+            saved = law.state(v)
             sums = {}
             for branch in (0, 1):
-                trial = assignment.copy()
-                trial.fix_coin(v, branch)
-                sums[branch] = branch_sum(inst, law, affected, trial, unit, budget)
+                law.fix_coin(v, branch)
+                sums[branch] = branch_sum(inst, law, affected, unit)
+                law.restore(v, saved)
             coin = 1 if sums[1] < sums[0] else 0
-            assignment.fix_coin(v, coin)
+            law.fix_coin(v, coin)
             decisions.append(
                 DecisionRecord(
                     node=v, color=color_idx, a0=sums[0], a1=sums[1], coin=coin
                 )
             )
             if log_expectations:
-                expectation_log.append(
-                    expected_output_size(inst, law, assignment, budget)
-                )
-    result = run_phases(inst, law, assignment)
+                expectation_log.append(expected_output_size(inst, law))
+    result = run_phases(inst, law)
     bad = validate_cfds(inst.graph, result)
     if bad:
         raise InvariantViolation(f"derandomized output violates constraints at {bad}")
@@ -227,7 +220,6 @@ def delta_factor_two(
     xprime: CFDS,
     eps,
     r: int,
-    budget: int = DEFAULT_ENUM_BUDGET,
     verify: bool = True,
 ) -> Tuple[CFDS, DerandOutcome]:
     """Deterministic factor-two rounding via constraint-node splitting.
@@ -280,7 +272,7 @@ def delta_factor_two(
         raise InvariantViolation(
             f"split coloring used {coloring.num_colors} > 2*s*Delta~ colors"
         )
-    outcome = derandomize_colorwise(inst, coloring, budget=budget, verify=verify)
+    outcome = derandomize_colorwise(inst, coloring, verify=verify)
     delta_l = max((host.degree(b) for b in split.left_origin), default=0)
     delta_r = max((host.degree(v) for v in range(n)), default=0)
     outcome.charged_rounds = coloring_round_cost(delta_l, delta_r, n)

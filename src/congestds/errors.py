@@ -18,7 +18,7 @@ class PrecisionError(CongestDSError):
 
 
 class EnumerationBudgetError(CongestDSError):
-    """An exact expectation would need more DP states than its budget allows."""
+    """An exact expectation would need more DP states than ``MAX_DP_STATES``."""
 
 
 class StructuralError(CongestDSError):

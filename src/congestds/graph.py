@@ -30,9 +30,6 @@ class Graph:
 
     # -- basic accessors ---------------------------------------------------
 
-    def neighbors(self, v: int) -> List[int]:
-        return self.adj[v]
-
     def closed_neighbors(self, v: int) -> List[int]:
         """Inclusive neighborhood, ascending."""
         out = list(self.adj[v])
@@ -145,7 +142,12 @@ class Graph:
 #
 # Plain text: one edge "u v" per line, 0-based ids, '#' starts a comment,
 # blank lines ignored.  An optional header "n <count>" pins the node count
-# so trailing isolated nodes survive a round trip.
+# so trailing isolated nodes survive a round trip.  A file may declare or
+# use at most MAX_NODES nodes; a larger count is rejected before any
+# adjacency list is allocated.
+
+#: the largest node count a graph file may declare or use
+MAX_NODES = 1 << 20
 
 
 def _ints(tokens: Sequence[str], lineno: int, raw: str) -> List[int]:
@@ -177,6 +179,8 @@ def parse_graph(text: str) -> Graph:
     n = n_declared if n_declared is not None else max_id + 1
     if n < max_id + 1:
         raise DomainError(f"header n={n} smaller than max node id {max_id}")
+    if n > MAX_NODES:
+        raise DomainError(f"{n} nodes exceed the file format's limit {MAX_NODES}")
     return Graph(n, edges)
 
 

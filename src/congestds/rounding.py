@@ -2,17 +2,17 @@
 
 Phase 1 scales each node's value to x(v)/p(v) with probability p(v) (else 0);
 phase 2 puts every node whose constraint is still unsatisfied at value 1.
-Both derandomizers drive this process through :class:`PartialAssignment`
-objects that pin down coins (or coin-string bits) one at a time while the
-engine here computes exact conditional expectations by a dynamic program over
-neighborhood sums.
+Both derandomizers drive this process by fixing coins (or coin-string bits)
+one at a time in :class:`IndependentCoinLaw`, which holds every coin's
+state, while the engine here computes exact conditional expectations given
+those fixes by a dynamic program over neighborhood sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -35,7 +35,9 @@ from .values import (
 #: sentinel for neighborhood sums that already reached the constraint
 SAT = "sat"
 
-DEFAULT_ENUM_BUDGET = 24
+#: the neighborhood DP raises EnumerationBudgetError beyond this many states
+#: (a one-shot instance holds at most 4)
+MAX_DP_STATES = 1 << 24
 
 
 @dataclass
@@ -195,37 +197,7 @@ def factor_two_instance(
     return RoundingInstance(graph=graph, x=x, p=p, c=dict(xprime.c), ambient_n=amb)
 
 
-# -- partial assignments and the coin law ----------------------------------
-
-
-@dataclass
-class PartialAssignment:
-    """Which coins and coin-string bits are pinned; everything else stays free.
-
-    ``coins`` fixes a node's coin outright (the color-ordered scheme);
-    ``seed_bits`` fixes leading bits of a node's coin string (the cluster
-    scheme), keyed by ``("coin", v)``.
-    """
-
-    coins: Dict[int, int] = field(default_factory=dict)
-    seed_bits: Dict[Hashable, Dict[int, int]] = field(default_factory=dict)
-
-    def fix_coin(self, v: int, value: int) -> None:
-        if self.coins.get(v, value) != value:
-            raise DomainError(f"coin of node {v} already fixed differently")
-        self.coins[v] = int(value)
-
-    def fix_bit(self, key: Hashable, index: int, value: int) -> None:
-        bits = self.seed_bits.setdefault(key, {})
-        if bits.get(index, value) != value:
-            raise DomainError(f"seed bit {index} of group {key!r} already fixed")
-        bits[index] = int(value)
-
-    def copy(self) -> "PartialAssignment":
-        return PartialAssignment(
-            coins=dict(self.coins),
-            seed_bits={k: dict(b) for k, b in self.seed_bits.items()},
-        )
+# -- the coin law and its fixes ---------------------------------------------
 
 
 def coin_threshold(p: Fraction, b: int) -> int:
@@ -246,52 +218,66 @@ class IndependentCoinLaw:
     p(v).  Fixing the string's bits most-significant first leaves a coin
     probability with a closed form, so conditional expectations never need
     bit enumeration.
+
+    The law also holds what is fixed so far.  ``heads[v] = (good, width)``:
+    coin v is 1 with probability good/width given the fixes.
+    ``prefix[v] = (j, value)``: the leading j bits of v's string read
+    *value*.  Derandomizers fix coins or bits in place and try a branch by
+    saving a node's :meth:`state` and restoring it afterwards.
     """
 
     def __init__(self, p: Dict[int, Fraction], b: int):
-        self.p = {v: Fraction(val) for v, val in p.items()}
         self.b = b
-        self.thresholds = {v: coin_threshold(val, b) for v, val in self.p.items()}
+        self.thresholds = {v: coin_threshold(val, b) for v, val in p.items()}
+        self.heads = {v: (t, 1 << b) for v, t in self.thresholds.items()}
+        self.prefix = {v: (0, 0) for v in p}
 
-    def _prefix(self, v: int, assignment: PartialAssignment) -> Tuple[int, int]:
-        bits = assignment.seed_bits.get(("coin", v), {})
-        j = 0
-        val = 0
-        while j in bits:
-            val = (val << 1) | bits[j]
-            j += 1
-        if len(bits) != j:
+    def fix_coin(self, v: int, value: int) -> None:
+        """Fix v's coin outright (the color-ordered scheme)."""
+        if self.resolved_coin(v) not in (None, value):
+            raise DomainError(f"coin of node {v} already fixed differently")
+        self.heads[v] = (int(value), 1)
+
+    def fix_bit(self, v: int, index: int, value: int) -> None:
+        """Fix bit *index* of v's string; bits go most-significant first."""
+        j, prefix = self.prefix[v]
+        if index < j:
+            if (prefix >> (j - 1 - index)) & 1 != value:
+                raise DomainError(f"seed bit {index} of node {v} already fixed")
+            return
+        if index != j or j == self.b:
             raise DomainError(
                 f"seed bits of node {v} must be fixed most-significant first"
             )
-        return j, val
-
-    def _heads(self, v: int, assignment: PartialAssignment) -> Tuple[int, int]:
-        """(good, width): Pr(coin_v = 1) is good/width given the assignment."""
-        if v in assignment.coins:
-            return assignment.coins[v], 1
-        j, prefix = self._prefix(v, assignment)
-        rem = self.b - j
-        lo = prefix << rem
+        prefix = (prefix << 1) | value
+        self.prefix[v] = (j + 1, prefix)
+        rem = self.b - j - 1
         width = 1 << rem
-        return min(max(self.thresholds[v] - lo, 0), width), width
+        good = min(max(self.thresholds[v] - (prefix << rem), 0), width)
+        self.heads[v] = (good, width)
 
-    def resolved_coin(
-        self, v: int, assignment: PartialAssignment
-    ) -> Optional[int]:
-        """The coin of v if the assignment already determines it, else None."""
-        good, width = self._heads(v, assignment)
+    def state(self, v: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """v's fixes so far, for :meth:`restore`."""
+        return self.heads[v], self.prefix[v]
+
+    def restore(self, v: int, state: Tuple[Tuple[int, int], Tuple[int, int]]) -> None:
+        """Undo every fix of v made since :meth:`state` returned *state*."""
+        self.heads[v], self.prefix[v] = state
+
+    def resolved_coin(self, v: int) -> Optional[int]:
+        """The coin of v if the fixes already determine it, else None."""
+        good, width = self.heads[v]
         if good == width:
             return 1
         if good == 0:
             return 0
         return None
 
-    def final_coins(self, assignment: PartialAssignment) -> Dict[int, int]:
-        """All coins once the assignment determines every one of them."""
+    def final_coins(self) -> Dict[int, int]:
+        """All coins once the fixes determine every one of them."""
         out: Dict[int, int] = {}
-        for v in self.p:
-            coin = self.resolved_coin(v, assignment)
+        for v in self.heads:
+            coin = self.resolved_coin(v)
             if coin is None:
                 raise DomainError(f"coin of node {v} is still undetermined")
             out[v] = coin
@@ -302,31 +288,29 @@ class IndependentCoinLaw:
 
 
 def _neighborhood_states(
-    inst: RoundingInstance,
-    law: IndependentCoinLaw,
-    center: int,
-    assignment: PartialAssignment,
-    budget: int,
+    inst: RoundingInstance, law: IndependentCoinLaw, center: int
 ) -> Tuple[Dict[Tuple[Optional[int], Any], int], int]:
     """Joint law of (center's coin, capped inclusive-neighborhood sum).
 
     Returns ``(states, denom)``: state ``(coin, sum)`` has probability
-    ``states[state] / denom``.  Sums are integers in units of 2**-iota,
-    tracked exactly up to c(center); anything at or above the constraint
-    collapses into the ``SAT`` state.  Resolved coins join the fixed base
-    sum; each live coin of the closed neighborhood is one step of a dynamic
-    program over the states.  All arithmetic is on integers, so the result
-    is exact.  More than ``2**budget`` states raise EnumerationBudgetError.
+    ``states[state] / denom`` given the law's fixes.  Sums are integers in
+    units of 2**-iota, tracked exactly up to c(center); anything at or above
+    the constraint collapses into the ``SAT`` state.  Resolved coins join
+    the fixed base sum; each live coin of the closed neighborhood is one step
+    of a dynamic program over the states.  All arithmetic is on integers, so
+    the result is exact.  More than ``MAX_DP_STATES`` states raise
+    EnumerationBudgetError.
     """
     cap = inst.c_units[center]
+    heads = law.heads
     base = 0
     center_coin: Optional[int] = None
     live: List[Tuple[int, int, int]] = []
     for w in inst.graph.closed_neighbors(center):
-        if w not in law.p:
+        if w not in heads:
             base += inst.det_units[w]
             continue
-        good, width = law._heads(w, assignment)
+        good, width = heads[w]
         if 0 < good < width:
             live.append((w, good, width))
             continue
@@ -339,7 +323,6 @@ def _neighborhood_states(
         (center_coin, SAT if base >= cap else base): 1
     }
     denom = 1
-    limit = 1 << budget
     for w, good, width in live:
         add = inst.ratio_units[w]
         nxt: Dict[Tuple[Optional[int], Any], int] = {}
@@ -353,39 +336,29 @@ def _neighborhood_states(
                 nxt[state] = nxt.get(state, 0) + num * weight
         states = nxt
         denom *= width
-        if len(states) > limit:
+        if len(states) > MAX_DP_STATES:
             raise EnumerationBudgetError(
                 f"neighborhood of node {center} holds {len(states)} DP states "
-                f"(budget 2**{budget})"
+                f"(limit {MAX_DP_STATES})"
             )
     return states, denom
 
 
 def exact_uncover_prob(
-    inst: RoundingInstance,
-    law: IndependentCoinLaw,
-    v: int,
-    assignment: Optional[PartialAssignment] = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    inst: RoundingInstance, law: IndependentCoinLaw, v: int
 ) -> Fraction:
     """Pr(v's inclusive-neighborhood phase-1 sum falls short of c(v))."""
-    assignment = assignment or PartialAssignment()
-    states, denom = _neighborhood_states(inst, law, v, assignment, budget)
+    states, denom = _neighborhood_states(inst, law, v)
     return Fraction(
         sum(num for (cc, s), num in states.items() if s is not SAT), denom
     )
 
 
 def conditional_expected_value(
-    inst: RoundingInstance,
-    law: IndependentCoinLaw,
-    u: int,
-    assignment: Optional[PartialAssignment] = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    inst: RoundingInstance, law: IndependentCoinLaw, u: int
 ) -> Fraction:
     """E[Z_u] where Z_u = 1 if u ends phase 1 uncovered, else X_u."""
-    assignment = assignment or PartialAssignment()
-    states, denom = _neighborhood_states(inst, law, u, assignment, budget)
+    states, denom = _neighborhood_states(inst, law, u)
     # in units of 2**-iota: an uncovered u counts 1, a covered one X_u
     one = 1 << inst.iota
     fallback = inst.det_units[u]
@@ -404,9 +377,7 @@ def branch_sum(
     inst: RoundingInstance,
     law: IndependentCoinLaw,
     nodes: Sequence[int],
-    assignment: PartialAssignment,
     unit: Fraction,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Fraction:
     """Sum of E[Z_u] over *nodes*, each rounded up to a multiple of *unit*.
 
@@ -415,32 +386,21 @@ def branch_sum(
     """
     total = ZERO
     for u in nodes:
-        alpha = conditional_expected_value(inst, law, u, assignment, budget)
+        alpha = conditional_expected_value(inst, law, u)
         # most alphas are 0 once neighbors are fixed; skip the Fraction work
         if alpha > 0:
             total += ceil_to_multiple(alpha, unit)
     return total
 
 
-def expected_output_size(
-    inst: RoundingInstance,
-    law: IndependentCoinLaw,
-    assignment: Optional[PartialAssignment] = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Fraction:
+def expected_output_size(inst: RoundingInstance, law: IndependentCoinLaw) -> Fraction:
     """Exact expected phase-2 output size: sum of E[Z_v] over all nodes."""
     return sum(
-        (
-            conditional_expected_value(inst, law, v, assignment, budget)
-            for v in range(inst.graph.n)
-        ),
+        (conditional_expected_value(inst, law, v) for v in range(inst.graph.n)),
         ZERO,
     )
 
 
-def run_phases(
-    inst: RoundingInstance, law: IndependentCoinLaw, assignment: PartialAssignment
-) -> CFDS:
+def run_phases(inst: RoundingInstance, law: IndependentCoinLaw) -> CFDS:
     """Phase 1 with fully determined coins, then phase 2."""
-    coins = law.final_coins(assignment)
-    return phase2(inst, phase1(inst, coins))
+    return phase2(inst, phase1(inst, law.final_coins()))

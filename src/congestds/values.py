@@ -82,9 +82,6 @@ class CFDS:
     def size(self) -> Fraction:
         return sum(self.x.values(), ZERO)
 
-    def nodes(self) -> Iterable[int]:
-        return self.x.keys()
-
     def is_integral(self) -> bool:
         return all(val in (ZERO, ONE) for val in self.x.values())
 
@@ -135,10 +132,43 @@ def log_star(n: int) -> int:
     return count
 
 
+#: fractional bits of the fixed-point arithmetic that proves ``ln_upper``
+EXP_BITS = 128
+
+
+def exp_lower(t: Fraction) -> int:
+    """An integer at most e^t * 2**EXP_BITS, for t >= 0.
+
+    t is halved s times to below 1, the Taylor series of e^(t/2^s) is summed
+    with every term floored until a term floors to 0, and the sum is squared
+    s times, flooring again.  Every step can only lose, so the result is a
+    lower bound; its relative error is about 2**(s + 6 - EXP_BITS).
+    """
+    one = 1 << EXP_BITS
+    s = int(t).bit_length()
+    y = (t.numerator << EXP_BITS) // (t.denominator << s)
+    total = term = one
+    i = 1
+    while term:
+        term = term * y // (i << EXP_BITS)
+        total += term
+        i += 1
+    for _ in range(s):
+        total = (total * total) >> EXP_BITS
+    return total
+
+
 def ln_upper(value: int) -> Fraction:
-    """An exact rational upper bound on ln(value), tight to ~1e-15."""
+    """An exact rational upper bound on ln(value), tight to ~1e-15.
+
+    The float one ulp above ``math.log(value)`` is checked exactly: a lower
+    bound on e^up must reach *value*.  Should the library logarithm err low,
+    the bound steps up one ulp at a time until the check passes, so the
+    result never rests on libm's accuracy.
+    """
     if value < 1:
         raise DomainError(f"ln of non-positive value {value}")
-    approx = math.log(value)
-    up = math.nextafter(approx, math.inf)
+    up = math.nextafter(math.log(value), math.inf)
+    while exp_lower(Fraction(up)) < value << EXP_BITS:
+        up = math.nextafter(up, math.inf)
     return Fraction(up)

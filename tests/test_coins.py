@@ -4,31 +4,33 @@ from fractions import Fraction
 import pytest
 
 from congestds.errors import DomainError, PrecisionError
-from congestds.rounding import IndependentCoinLaw, PartialAssignment, coin_threshold
+from congestds.rounding import IndependentCoinLaw, coin_threshold
 
 
-def fix_string(assignment, v, value, b):
+def fix_string(law, v, value, b):
     """Pin all b bits of node v's coin string to *value*, most-significant first."""
     for i in range(b):
-        assignment.fix_bit(("coin", v), i, (value >> (b - 1 - i)) & 1)
+        law.fix_bit(v, i, (value >> (b - 1 - i)) & 1)
 
 
 class TestDrawCoin:
     def test_p_one_always_heads(self):
         law = IndependentCoinLaw({0: Fraction(0), 1: Fraction(1)}, b=4)
+        assert law.resolved_coin(1) == 1
+        fresh = law.state(1)
         for value in range(16):
-            a = PartialAssignment()
-            fix_string(a, 1, value, 4)
-            assert law.resolved_coin(1, a) == 1
-        assert law.resolved_coin(1, PartialAssignment()) == 1
+            fix_string(law, 1, value, 4)
+            assert law.resolved_coin(1) == 1
+            law.restore(1, fresh)
 
     def test_p_zero_always_tails(self):
         law = IndependentCoinLaw({0: Fraction(1), 2: Fraction(0)}, b=4)
+        assert law.resolved_coin(2) == 0
+        fresh = law.state(2)
         for value in range(16):
-            a = PartialAssignment()
-            fix_string(a, 2, value, 4)
-            assert law.resolved_coin(2, a) == 0
-        assert law.resolved_coin(2, PartialAssignment()) == 0
+            fix_string(law, 2, value, 4)
+            assert law.resolved_coin(2) == 0
+            law.restore(2, fresh)
 
     def test_unrepresentable_probability(self):
         with pytest.raises(PrecisionError):
@@ -44,14 +46,13 @@ class TestDrawCoin:
         # b=4: over all 2^8 joint strings of any two nodes, each coin is
         # heads with its own probability and every pair has product-form joints
         p = {v: Fraction(v + 1, 16) for v in range(6)}
-        law = IndependentCoinLaw(p, b=4)
         for u, v in itertools.combinations(range(6), 2):
             outcomes = []
             for su, sv in itertools.product(range(16), repeat=2):
-                a = PartialAssignment()
-                fix_string(a, u, su, 4)
-                fix_string(a, v, sv, 4)
-                outcomes.append((law.resolved_coin(u, a), law.resolved_coin(v, a)))
+                law = IndependentCoinLaw(p, b=4)
+                fix_string(law, u, su, 4)
+                fix_string(law, v, sv, 4)
+                outcomes.append((law.resolved_coin(u), law.resolved_coin(v)))
             total = len(outcomes)
             for cu, cv in itertools.product((0, 1), repeat=2):
                 count = sum(1 for o in outcomes if o == (cu, cv))
@@ -61,9 +62,15 @@ class TestDrawCoin:
 
     def test_seed_length_checked(self):
         law = IndependentCoinLaw({0: Fraction(1, 2)}, b=4)
-        a = PartialAssignment()
-        a.fix_bit(("coin", 0), 1, 1)
+        # out of order: bit 1 before bit 0
         with pytest.raises(DomainError):
-            law.resolved_coin(0, a)
+            law.fix_bit(0, 1, 1)
+        law.fix_bit(0, 0, 0)
+        law.fix_bit(0, 1, 1)
+        law.fix_bit(0, 1, 1)  # the same value again is no change
         with pytest.raises(DomainError):
-            a.fix_bit(("coin", 0), 1, 0)
+            law.fix_bit(0, 1, 0)
+        fix_string(law, 0, 0b0110, 4)
+        # past the string's last bit
+        with pytest.raises(DomainError):
+            law.fix_bit(0, 4, 0)

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from congestds import graph as graph_module
 from congestds.errors import DomainError
-from congestds.graph import Graph, format_graph, parse_graph
+from congestds.graph import MAX_NODES, Graph, format_graph, parse_graph
 
 
 class TestGraphBasics:
@@ -65,6 +66,17 @@ class TestFileFormat:
     def test_header_too_small(self):
         with pytest.raises(DomainError):
             parse_graph("n 2\n0 3\n")
+
+    @pytest.mark.parametrize(
+        "text", ["n 10000000000\n", f"n {MAX_NODES + 1}\n0 1\n", f"0 {MAX_NODES}\n"]
+    )
+    def test_absurd_node_count_rejected(self, text, monkeypatch):
+        def no_allocation(*args):
+            raise AssertionError("a graph was allocated")
+
+        monkeypatch.setattr(graph_module, "Graph", no_allocation)
+        with pytest.raises(DomainError, match="limit"):
+            parse_graph(text)
 
     def test_malformed_line(self):
         with pytest.raises(DomainError):

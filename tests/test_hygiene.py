@@ -1,4 +1,4 @@
-"""Source hygiene: every imported name and every parameter is used."""
+"""Source hygiene: every imported name, parameter and definition is used."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "congestds"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+ALL_SOURCES = sorted(SRC.glob("*.py")) + TEST_MODULES
 
 
 def unused_imports(source: str):
@@ -46,6 +47,49 @@ def unused_parameters(source: str):
     return sorted(out)
 
 
+def definitions(source: str):
+    """Top-level functions and classes, and non-dunder methods, by name."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out.append(node.name)
+            out.extend(
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return out
+
+
+def referenced_names(sources):
+    """Every Name, Attribute and identifier-like string constant."""
+    names = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                if n.value.isidentifier():
+                    names.add(n.value)
+    return names
+
+
+def unreferenced_definitions(defining, referencing):
+    """Definitions in *defining* that no source in *referencing* names."""
+    names = referenced_names(referencing)
+    return sorted(
+        d
+        for source in defining
+        for d in definitions(source)
+        if d.rsplit(".", 1)[-1] not in names
+    )
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -78,3 +122,25 @@ def test_detects_unused_parameter():
 def test_detects_unused_name():
     src = "from typing import Dict, List\nimport math\n\ndef f(x: List[int]): return x\n"
     assert unused_imports(src) == ["Dict", "math"]
+
+
+def test_no_unreferenced_definitions():
+    sources = [p.read_text(encoding="utf-8") for p in ALL_SOURCES]
+    defining = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert unreferenced_definitions(defining, sources) == []
+
+
+def test_detects_unreferenced_definition():
+    defining = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def by_string(): pass\n"
+        "class K:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def orphan(self): pass\n"
+    )
+    referencing = "used()\nK().method()\nsetattr(m, 'by_string', None)\n"
+    assert unreferenced_definitions([defining], [defining, referencing]) == [
+        "K.orphan", "unused"
+    ]

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from congestds import rounding
 from congestds.errors import DomainError, EnumerationBudgetError
 from congestds.graph import Graph
 from congestds.rounding import (
     IndependentCoinLaw,
-    PartialAssignment,
     RoundingInstance,
     conditional_expected_value,
     exact_uncover_prob,
@@ -93,11 +93,10 @@ class TestPhases:
     def test_output_always_valid(self):
         inst = k2_half()
         for coins in itertools.product((0, 1), repeat=2):
-            out = run_phases(
-                inst,
-                IndependentCoinLaw({0: HALF, 1: HALF}, b=4),
-                PartialAssignment(coins={0: coins[0], 1: coins[1]}),
-            )
+            law = IndependentCoinLaw({0: HALF, 1: HALF}, b=4)
+            law.fix_coin(0, coins[0])
+            law.fix_coin(1, coins[1])
+            out = run_phases(inst, law)
             assert validate_cfds(inst.graph, out) == []
 
 
@@ -153,10 +152,14 @@ class TestExactExpectations:
     def test_conditioning_on_coin(self):
         inst = k2_half()
         law = IndependentCoinLaw({0: HALF, 1: HALF}, b=4)
-        a = PartialAssignment(coins={0: 1})
-        assert exact_uncover_prob(inst, law, 0, a) == 0
-        a = PartialAssignment(coins={0: 0})
-        assert exact_uncover_prob(inst, law, 0, a) == HALF
+        fresh = law.state(0)
+        law.fix_coin(0, 1)
+        assert exact_uncover_prob(inst, law, 0) == 0
+        with pytest.raises(DomainError):
+            law.fix_coin(0, 0)
+        law.restore(0, fresh)
+        law.fix_coin(0, 0)
+        assert exact_uncover_prob(inst, law, 0) == HALF
 
     def test_law_of_total_expectation(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -167,11 +170,14 @@ class TestExactExpectations:
         law = IndependentCoinLaw(p, b=4)
         total = expected_output_size(inst, law)
         branch = Fraction(0)
+        fresh = law.state(1)
         for val in (0, 1):
-            a = PartialAssignment(coins={1: val})
+            law.fix_coin(1, val)
             w = p[1] if val else 1 - p[1]
-            branch += w * expected_output_size(inst, law, a)
+            branch += w * expected_output_size(inst, law)
+            law.restore(1, fresh)
         assert branch == total
+        assert expected_output_size(inst, law) == total
 
     def test_matches_exhaustive_enumeration(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -179,17 +185,16 @@ class TestExactExpectations:
         inst = RoundingInstance(
             graph=g, x=dict(p), p=dict(p), c={v: Fraction(1) for v in range(3)}
         )
-        law = IndependentCoinLaw(p, b=4)
         total = Fraction(0)
         for coins in itertools.product((0, 1), repeat=3):
             w = Fraction(1)
+            law = IndependentCoinLaw(p, b=4)
             for v in range(3):
                 w *= p[v] if coins[v] else 1 - p[v]
-            out = run_phases(
-                inst, law, PartialAssignment(coins=dict(enumerate(coins)))
-            )
+                law.fix_coin(v, coins[v])
+            out = run_phases(inst, law)
             total += w * out.size
-        assert expected_output_size(inst, law) == total
+        assert expected_output_size(inst, IndependentCoinLaw(p, b=4)) == total
 
     def test_per_node_values_match_enumeration(self):
         # ratios below 1 (one of them quantized), a node with p = 1 and
@@ -220,21 +225,22 @@ class TestExactExpectations:
                 expect[v] += w * out.x[v]
                 if X[v] + sum(X[u] for u in g.adj[v]) < c[v]:
                     uncover[v] += w
-        a = PartialAssignment(coins=dict(fixed))
+        for v, coin in fixed.items():
+            law.fix_coin(v, coin)
         for v in range(5):
-            assert conditional_expected_value(inst, law, v, a) == expect[v]
-            assert exact_uncover_prob(inst, law, v, a) == uncover[v]
+            assert conditional_expected_value(inst, law, v) == expect[v]
+            assert exact_uncover_prob(inst, law, v) == uncover[v]
 
     def test_prefix_bits_refine_marginal(self):
         law = IndependentCoinLaw({0: Fraction(5, 16)}, b=4)
-        a = PartialAssignment()
-        assert Fraction(*law._heads(0, a)) == Fraction(5, 16)
-        a.fix_bit(("coin", 0), 0, 0)  # string in [0, 1/2)
-        assert Fraction(*law._heads(0, a)) == Fraction(5, 8)
-        a.fix_bit(("coin", 0), 1, 1)  # string in [1/4, 1/2): all >= 5/16? no
-        assert Fraction(*law._heads(0, a)) == Fraction(1, 4)
+        assert Fraction(*law.heads[0]) == Fraction(5, 16)
+        law.fix_bit(0, 0, 0)  # string in [0, 1/2)
+        assert Fraction(*law.heads[0]) == Fraction(5, 8)
+        law.fix_bit(0, 1, 1)  # string in [1/4, 1/2): all >= 5/16? no
+        assert Fraction(*law.heads[0]) == Fraction(1, 4)
+        assert law.prefix[0] == (2, 0b01)
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
         # star around node 0; the leaves' coins have p = 1/2 and distinct
         # ratios 1/16, 1/8, 1/4, 1/2, so all 16 subset sums stay below c = 1
         g = Graph(5, [(0, v) for v in range(1, 5)])
@@ -248,7 +254,9 @@ class TestExactExpectations:
             Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), HALF
         ]
         law = IndependentCoinLaw({v: HALF for v in range(1, 5)}, b=4)
+        monkeypatch.setattr(rounding, "MAX_DP_STATES", 1 << 3)
         with pytest.raises(EnumerationBudgetError):
-            exact_uncover_prob(inst, law, 0, budget=3)
-        # 16 states fit in a budget of 2**4
-        assert exact_uncover_prob(inst, law, 0, budget=4) == 1
+            exact_uncover_prob(inst, law, 0)
+        # 16 states fit in a limit of 2**4
+        monkeypatch.setattr(rounding, "MAX_DP_STATES", 1 << 4)
+        assert exact_uncover_prob(inst, law, 0) == 1

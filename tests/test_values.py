@@ -1,13 +1,18 @@
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from congestds.errors import DomainError
+from congestds import values
 from congestds.graph import Graph
 from congestds.values import (
     CFDS,
+    EXP_BITS,
     ceil_to_multiple,
+    exp_lower,
     fractionality,
     iota_for,
     is_multiple_of,
@@ -123,11 +128,43 @@ def test_log_star():
 
 
 def test_ln_upper_is_upper_bound():
-    import math
-
     for v in (2, 3, 10, 100):
         up = ln_upper(v)
         assert float(up) >= math.log(v)
         assert float(up) - math.log(v) < 1e-12
     with pytest.raises(DomainError):
         ln_upper(0)
+
+
+def decimal_ln(value):
+    # Decimal.ln is correctly rounded; 60 digits leave the true value within
+    # 1e-58 of it, far inside the ~1e-16 gap an upper bound keeps
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(value).ln()
+
+
+def test_exp_lower_is_lower_bound():
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for t in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(41, 2)):
+            bound = Decimal(exp_lower(t)) / Decimal(2**EXP_BITS)
+            exact = (Decimal(t.numerator) / Decimal(t.denominator)).exp()
+            assert bound <= exact
+            assert exact - bound < exact * Decimal(2) ** -100
+
+
+def test_ln_upper_survives_a_low_libm(monkeypatch):
+    real_log = math.log
+
+    def low_log(x):
+        # three ulps below the true logarithm
+        out = real_log(x)
+        for _ in range(3):
+            out = math.nextafter(out, -math.inf)
+        return out
+
+    monkeypatch.setattr(values.math, "log", low_log)
+    for v in (2, 3, 10, 12345, 10**9):
+        up = ln_upper(v)
+        assert Decimal(up.numerator) / Decimal(up.denominator) > decimal_ln(v)
