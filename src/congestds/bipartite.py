@@ -67,14 +67,21 @@ def greedy_distance2_coloring(
 
 
 def coloring_violations(graph: Graph, coloring: Coloring) -> List[Tuple[int, int]]:
-    """Same-colored pairs at distance <= 2, found by a BFS oracle."""
+    """Same-colored pairs (u, v), u < v, at distance <= 2, in ascending order.
+
+    Each member scans only its own 2-hop ball, so the cost is O(|S| * Delta^2)
+    rather than quadratic in the number of members.
+    """
+    color = coloring.color
     bad = []
-    members = coloring.members
-    for i, u in enumerate(members):
-        near = graph.bfs_distances(u, limit=2)
-        for v in members[i + 1 :]:
-            if coloring.color[u] == coloring.color[v] and v in near:
-                bad.append((u, v))
+    for u in coloring.members:
+        near = set()
+        for w in graph.adj[u]:
+            near.add(w)
+            near.update(graph.adj[w])
+        bad.extend(
+            (u, v) for v in sorted(near) if v > u and color.get(v) == color[u]
+        )
     return bad
 
 

@@ -138,19 +138,24 @@ def derandomize_colorwise(
 
 def _covering_sets(graph: Graph, xprime: CFDS, cap: int) -> Dict[int, List[int]]:
     """Per node, a <= cap subset of its inclusive neighborhood with x'-mass >= 1."""
+    # x' in integer units of the least common denominator
+    den = math.lcm(*{val.denominator for val in xprime.x.values()})
+    units = {
+        u: val.numerator * (den // val.denominator) for u, val in xprime.x.items()
+    }
     out: Dict[int, List[int]] = {}
     for v in range(graph.n):
         candidates = sorted(
-            graph.closed_neighbors(v), key=lambda u: (-xprime.x[u], u)
+            graph.closed_neighbors(v), key=lambda u: (-units[u], u)
         )
         picked: List[int] = []
-        mass = ZERO
+        mass = 0
         for u in candidates:
-            if mass >= 1:
+            if mass >= den:
                 break
             picked.append(u)
-            mass += xprime.x[u]
-        if mass < 1:
+            mass += units[u]
+        if mass < den:
             raise PreconditionError(
                 f"input is not a valid fractional dominating set at node {v}"
             )

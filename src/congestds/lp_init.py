@@ -4,11 +4,12 @@ The distributed LP approximation this stands in for is cited work; here the
 covering LP min sum(x) s.t. sum over inclusive neighborhoods >= 1 is solved
 centrally and its round cost charged.  The constraint matrix is sparse
 (one row per inclusive neighborhood, built from the adjacency lists).  HiGHS
-solves it by dual simplex below ``IPM_MIN_NODES`` nodes and by interior point
-from there on, where simplex is much slower; the two may return different
-optimal vertices.  The float solution is repaired into an exactly feasible
-rational one: scale up by the worst constraint slack, cap at 1, quantize
-upward, validate with exact arithmetic.
+solves it by dual simplex below ``IPM_MIN_NODES`` nodes, handed the dense
+form there, and by interior point from there on, where simplex is much
+slower; the two may return different optimal vertices.  The float solution
+is repaired into an exactly feasible rational one on integers at the floats'
+common dyadic scale: scale up by the worst constraint slack, cap at 1,
+quantize upward, validate exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.sparse import csr_matrix
 from .errors import DomainError, StructuralError
 from .graph import Graph
 from .sim import RoundStats, charge_oracle
-from .values import CFDS, ONE, ZERO, quantize_up, validate_cfds
+from .values import CFDS, ONE, iota_for, quantize_up, validate_cfds
 
 #: Graphs with at least this many nodes solve the LP by interior point;
 #: smaller ones by dual simplex, which is faster there (crossover measured on
@@ -75,22 +76,31 @@ def _lp_solution(graph: Graph) -> Tuple[Fraction, ...]:
     )
     res = linprog(
         c=np.ones(n),
-        A_ub=neg_a,
+        # scipy's sparse-input handling costs more than a small LP's solve
+        A_ub=neg_a if n >= IPM_MIN_NODES else neg_a.toarray(),
         b_ub=-np.ones(n),
         bounds=(0.0, 1.0),
         method="highs-ipm" if n >= IPM_MIN_NODES else "highs",
     )
     if not res.success:
         raise StructuralError(f"covering LP failed: {res.message}")
-    raw = [Fraction(min(max(float(val), 0.0), 1.0)) for val in res.x]
+    # the clipped floats as integers at their common dyadic scale
+    ratios = [min(max(float(val), 0.0), 1.0).as_integer_ratio() for val in res.x]
+    scale = max(den for _, den in ratios)
+    units = [num * (scale // den) for num, den in ratios]
     min_sum = min(
-        raw[v] + sum((raw[u] for u in graph.adj[v]), ZERO) for v in range(n)
+        units[v] + sum(units[u] for u in graph.adj[v]) for v in range(n)
     )
     if min_sum <= 0:
         raise StructuralError("LP produced an all-zero neighborhood")
-    if min_sum < 1:
-        raw = [min(ONE, val / min_sum) for val in raw]
-    x = {v: quantize_up(raw[v], n) for v in range(n)}
+    # divide by the worst neighborhood sum if it is below 1, cap at 1 and
+    # round up to the grid of 2**-iota
+    div = min(min_sum, scale)
+    one = 1 << iota_for(n)
+    x = {
+        v: ONE if u >= div else Fraction(-((-u * one) // div), one)
+        for v, u in enumerate(units)
+    }
     d = CFDS.fds(x)
     bad = validate_cfds(graph, d)
     if bad:

@@ -25,11 +25,10 @@ from .values import (
     CFDS,
     ONE,
     ZERO,
-    ceil_to_multiple,
+    as_fractions,
+    fraction_sum,
     iota_for,
-    is_multiple_of,
     ln_upper,
-    quantize_up,
 )
 
 #: sentinel for neighborhood sums that already reached the constraint
@@ -58,46 +57,53 @@ class RoundingInstance:
     def __post_init__(self):
         if self.ambient_n <= 0:
             self.ambient_n = self.graph.n
-        self.x = {v: Fraction(val) for v, val in self.x.items()}
-        self.p = {v: Fraction(val) for v, val in self.p.items()}
-        self.c = {v: Fraction(val) for v, val in self.c.items()}
+        self.x = as_fractions(self.x)
+        self.p = as_fractions(self.p)
+        self.c = as_fractions(self.c)
         nodes = set(range(self.graph.n))
         if set(self.x) != nodes or set(self.p) != nodes or set(self.c) != nodes:
             raise DomainError("x, p, c must cover exactly the host graph's nodes")
         self.iota = iota_for(max(self.ambient_n, 2))
-        unit = Fraction(1, 1 << self.iota)
-        for v in nodes:
-            if self.p[v] < self.x[v]:
-                raise DomainError(f"p({v}) = {self.p[v]} < x({v}) = {self.x[v]}")
-            for label, val in (("x", self.x[v]), ("p", self.p[v]), ("c", self.c[v])):
-                if val < 0 or val > 1:
+        one = 1 << self.iota
+        # every value in integer units of 2**-iota, which every expectation
+        # reads, so they are computed once
+        x_units: Dict[int, int] = {}
+        self.p_units: Dict[int, int] = {}
+        self.c_units: Dict[int, int] = {}
+        for v in range(self.graph.n):
+            xv, pv = self.x[v], self.p[v]
+            if pv.numerator * xv.denominator < xv.numerator * pv.denominator:
+                raise DomainError(f"p({v}) = {pv} < x({v}) = {xv}")
+            for label, val, units in (
+                ("x", xv, x_units),
+                ("p", pv, self.p_units),
+                ("c", self.c[v], self.c_units),
+            ):
+                num, den = val.numerator, val.denominator
+                if num < 0 or num > den:
                     raise DomainError(f"{label}({v}) = {val} outside [0, 1]")
-                if not is_multiple_of(val, unit):
+                if one % den:
                     raise PrecisionError(
                         f"{label}({v}) = {val} is not transmittable at width "
                         f"{self.iota}"
                     )
-        # every expectation reads these, so they are computed once; the
-        # integer forms count units of 2**-iota for the expectation engine
-        self._ratio = {v: self._quantized_ratio(v) for v in nodes}
-        self.ratio_units = {v: self._units(r) for v, r in self._ratio.items()}
-        self.det_units = {v: self._units(self.deterministic_value(v)) for v in nodes}
-        self.c_units = {v: self._units(val) for v, val in self.c.items()}
-
-    def _units(self, value: Fraction) -> int:
-        return value.numerator * ((1 << self.iota) // value.denominator)
-
-    def _quantized_ratio(self, v: int) -> Fraction:
-        if self.p[v] == 0:
-            return ZERO
-        val = self.x[v] / self.p[v]
-        if val >= 1:
-            return ONE
-        return quantize_up(val, max(self.ambient_n, 2))
+                units[v] = num * (one // den)
+        # the phase-1 success value x/p, capped at 1 and rounded up to the grid
+        self.ratio_units = {
+            v: min(one, -((-xu * one) // self.p_units[v])) if xu else 0
+            for v, xu in x_units.items()
+        }
+        # what a node with p in {0, 1} contributes without a coin
+        self.det_units = {
+            v: r if self.p_units[v] == one else 0
+            for v, r in self.ratio_units.items()
+        }
+        self._ratio = {v: Fraction(r, one) for v, r in self.ratio_units.items()}
 
     def participating(self) -> List[int]:
         """Nodes with 0 < p < 1: the ones whose coin matters."""
-        return [v for v in range(self.graph.n) if ZERO < self.p[v] < ONE]
+        one = 1 << self.iota
+        return [v for v, pu in self.p_units.items() if 0 < pu < one]
 
     def ratio(self, v: int) -> Fraction:
         """The phase-1 success value x(v)/p(v), capped at 1 and quantized up."""
@@ -105,21 +111,19 @@ class RoundingInstance:
 
     def deterministic_value(self, v: int) -> Fraction:
         """Phase-1 value of a non-participating node (p in {0, 1})."""
-        if self.p[v] == ONE:
-            return self.ratio(v)
-        return ZERO
+        return Fraction(self.det_units[v], 1 << self.iota)
 
 
 def phase1(inst: RoundingInstance, coins: Dict[int, int]) -> Dict[int, Fraction]:
     """Apply the coin outcomes: X_v = x(v)/p(v) on success, 0 on failure."""
+    one = 1 << inst.iota
     X: Dict[int, Fraction] = {}
     for v in range(inst.graph.n):
-        if inst.x[v] == 0:
+        # a zero ratio means x = 0 (or p = 0, which forces x = 0)
+        if not inst.ratio_units[v]:
             X[v] = ZERO
-        elif inst.p[v] == ONE:
+        elif inst.p_units[v] == one:
             X[v] = inst.ratio(v)
-        elif inst.p[v] == ZERO:
-            X[v] = ZERO
         else:
             if v not in coins:
                 raise DomainError(f"participating node {v} has no coin")
@@ -128,11 +132,22 @@ def phase1(inst: RoundingInstance, coins: Dict[int, int]) -> Dict[int, Fraction]
 
 
 def phase2(inst: RoundingInstance, X: Dict[int, Fraction]) -> CFDS:
-    """Raise every node with an unsatisfied constraint to value 1."""
+    """Raise every node with an unsatisfied constraint to value 1.
+
+    *X* holds phase-1 values, multiples of 2**-iota; the sums run on their
+    integer units.
+    """
+    one = 1 << inst.iota
+    units: Dict[int, int] = {}
+    for v, val in X.items():
+        if one % val.denominator:
+            raise PrecisionError(f"X({v}) = {val} is not a multiple of 2**-{inst.iota}")
+        units[v] = val.numerator * (one // val.denominator)
+    adj = inst.graph.adj
     z: Dict[int, Fraction] = {}
     for v in range(inst.graph.n):
-        total = X[v] + sum((X[u] for u in inst.graph.adj[v]), ZERO)
-        z[v] = ONE if total < inst.c[v] else X[v]
+        total = units[v] + sum(units[u] for u in adj[v])
+        z[v] = ONE if total < inst.c_units[v] else X[v]
     return CFDS(x=z, c=dict(inst.c))
 
 
@@ -155,12 +170,13 @@ def scale_values(
     (factor-two) values below 2/r double with probability 1/2 and the rest
     keep p = 1.
     """
-    width = max(ambient_n, 2)
+    one = 1 << iota_for(max(ambient_n, 2))
     x: Dict[int, Fraction] = {}
     p: Dict[int, Fraction] = {}
     for v, val in xprime.x.items():
-        val = factor * val
-        x[v] = ONE if val >= 1 else quantize_up(val, width)
+        num = factor.numerator * val.numerator
+        den = factor.denominator * val.denominator
+        x[v] = ONE if num >= den else Fraction(-((-num * one) // den), one)
         if r is None:
             p[v] = x[v]
         else:
@@ -382,22 +398,23 @@ def branch_sum(
     """Sum of E[Z_u] over *nodes*, each rounded up to a multiple of *unit*.
 
     This is the quantity the derandomizers compare between the two branches
-    of a coin or coin-string bit.
+    of a coin or coin-string bit.  The ceilings are integer floor divisions;
+    one Fraction is built for the sum.
     """
-    total = ZERO
+    scale, step = unit.denominator, unit.numerator
+    total = 0
     for u in nodes:
         alpha = conditional_expected_value(inst, law, u)
-        # most alphas are 0 once neighbors are fixed; skip the Fraction work
-        if alpha > 0:
-            total += ceil_to_multiple(alpha, unit)
-    return total
+        # most alphas are 0 once neighbors are fixed
+        if alpha.numerator:
+            total -= (-alpha.numerator * scale) // (alpha.denominator * step)
+    return Fraction(total * step, scale)
 
 
 def expected_output_size(inst: RoundingInstance, law: IndependentCoinLaw) -> Fraction:
     """Exact expected phase-2 output size: sum of E[Z_v] over all nodes."""
-    return sum(
-        (conditional_expected_value(inst, law, v) for v in range(inst.graph.n)),
-        ZERO,
+    return fraction_sum(
+        conditional_expected_value(inst, law, v) for v in range(inst.graph.n)
     )
 
 

@@ -3,8 +3,10 @@
 All invariant-bearing values are dyadic rationals: multiples of ``2**-iota``
 where ``iota`` is the smallest exponent with ``2**-iota <= n**-10`` for the
 ambient node count ``n``.  Such a value fits in a single O(log n)-bit message,
-so it can be exchanged in one round.  Everything here is computed with
-:class:`fractions.Fraction`; no floating point touches a correctness path.
+so it can be exchanged in one round.  Values are held as
+:class:`fractions.Fraction`; hot loops (``validate_cfds`` here, the rounding
+step and the LP repair) work on their integer numerators over a common
+denominator.  No floating point touches a correctness path.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List
+from typing import Any, Dict, Iterable, List
 
 from .errors import DomainError
 
@@ -40,15 +42,27 @@ def quantize_up(value, n: int) -> Fraction:
     return Fraction(-((-frac.numerator << iota) // frac.denominator), 1 << iota)
 
 
-def ceil_to_multiple(value: Fraction, unit: Fraction) -> Fraction:
-    """Smallest multiple of *unit* that is >= value."""
-    q = value / unit
-    return unit * (-((-q.numerator) // q.denominator))
+def as_fractions(values: Dict[int, Any]) -> Dict[int, Fraction]:
+    """*values* with every entry that is not already a Fraction wrapped."""
+    return {
+        v: val if isinstance(val, Fraction) else Fraction(val)
+        for v, val in values.items()
+    }
 
 
-def is_multiple_of(value: Fraction, unit: Fraction) -> bool:
-    q = Fraction(value) / unit
-    return q.denominator == 1
+def fraction_sum(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum of *values*: integer numerators over a running common
+    denominator, reduced once at the end."""
+    num, den = 0, 1
+    for val in values:
+        if not val.numerator:
+            continue
+        if val.denominator != den:
+            common = math.lcm(den, val.denominator)
+            num *= common // den
+            den = common
+        num += val.numerator * (den // val.denominator)
+    return Fraction(num, den)
 
 
 @dataclass
@@ -64,23 +78,21 @@ class CFDS:
     c: Dict[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.x = {v: Fraction(val) for v, val in self.x.items()}
+        self.x = as_fractions(self.x)
         if not self.c:
             self.c = {v: ONE for v in self.x}
         else:
-            self.c = {v: Fraction(val) for v, val in self.c.items()}
+            self.c = as_fractions(self.c)
         if set(self.c) != set(self.x):
             raise DomainError("x and c must be defined on the same node set")
-        for v, val in self.x.items():
-            if val < 0 or val > 1:
-                raise DomainError(f"x({v}) = {val} outside [0, 1]")
-        for v, val in self.c.items():
-            if val < 0 or val > 1:
-                raise DomainError(f"c({v}) = {val} outside [0, 1]")
+        for label, values in (("x", self.x), ("c", self.c)):
+            for v, val in values.items():
+                if val.numerator < 0 or val.numerator > val.denominator:
+                    raise DomainError(f"{label}({v}) = {val} outside [0, 1]")
 
     @property
     def size(self) -> Fraction:
-        return sum(self.x.values(), ZERO)
+        return fraction_sum(self.x.values())
 
     def is_integral(self) -> bool:
         return all(val in (ZERO, ONE) for val in self.x.values())
@@ -102,16 +114,22 @@ class CFDS:
 def validate_cfds(graph, d: CFDS) -> List[int]:
     """Nodes whose inclusive-neighborhood x-sum falls short of their constraint.
 
-    An empty list means the CFDS is valid.  Exact arithmetic throughout.
+    An empty list means the CFDS is valid.  Exact: the sums run on integer
+    numerators over the least common denominator of all values.
     """
     if set(d.x) != set(range(graph.n)):
         raise DomainError(
             f"CFDS node set does not match graph nodes 0..{graph.n - 1}"
         )
+    den = math.lcm(
+        *{val.denominator for vals in (d.x, d.c) for val in vals.values()}
+    )
+    x = [d.x[v].numerator * (den // d.x[v].denominator) for v in range(graph.n)]
     violated = []
     for v in range(graph.n):
-        total = d.x[v] + sum((d.x[u] for u in graph.adj[v]), ZERO)
-        if total < d.c[v]:
+        total = x[v] + sum(x[u] for u in graph.adj[v])
+        c = d.c[v]
+        if total < c.numerator * (den // c.denominator):
             violated.append(v)
     return violated
 

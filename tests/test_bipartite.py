@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from congestds.bipartite import (
+    Coloring,
     coloring_round_cost,
     coloring_violations,
     greedy_distance2_coloring,
@@ -36,6 +39,47 @@ class TestColoring:
         assert coloring_violations(cover, col) == []
         # side degrees are both 3: greedy stays within D_L * D_R
         assert col.num_colors <= 9
+
+    def test_violations_match_quadratic_scan(self):
+        """The 2-hop-ball scan returns the pairs, in the order, of comparing
+        every pair of members, on colorings with planted violations."""
+
+        def quadratic(graph, coloring):
+            bad = []
+            members = coloring.members
+            for i, u in enumerate(members):
+                near = graph.bfs_distances(u, limit=2)
+                for v in members[i + 1 :]:
+                    if coloring.color[u] == coloring.color[v] and v in near:
+                        bad.append((u, v))
+            return bad
+
+        rng = random.Random("violations")
+        planted = 0
+        for _ in range(200):
+            n = rng.randint(2, 60)
+            q = rng.choice([0.05, 0.1, 0.2])
+            g = Graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if rng.random() < q
+            ])
+            members = rng.sample(range(n), rng.randint(1, n))
+            if rng.random() < 0.3:
+                # few colors at random: many clashes per member
+                color = {v: rng.randint(1, 3) for v in members}
+            else:
+                color = dict(greedy_distance2_coloring(g, members).color)
+            # copy a color onto a member within distance 2 (a clash), or
+            # onto a random member (a clash only if the two are close)
+            for _ in range(rng.randint(0, 4)):
+                u = rng.choice(members)
+                near = [v for v in g.bfs_distances(u, limit=2) if v in color]
+                v = rng.choice(near if rng.random() < 0.7 else members)
+                color[v] = color[u]
+            bad = coloring_violations(g, Coloring(color, max(color.values())))
+            assert bad == quadratic(g, Coloring(color, max(color.values())))
+            planted += bool(bad)
+        assert planted > 50
 
     def test_classes_partition(self):
         g = star(4)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from scipy import sparse
 
 import congestds.lp_init as lp_init
-from congestds.errors import DomainError
+from congestds.errors import DomainError, StructuralError
 from congestds.generators import complete, generate_graph, petersen
 from congestds.graph import Graph
 from congestds.lp_init import (
@@ -16,7 +18,7 @@ from congestds.lp_init import (
 )
 from congestds.oracles import brute_force_mds
 from congestds.sim import RoundStats
-from congestds.values import CFDS, validate_cfds
+from congestds.values import CFDS, quantize_up, validate_cfds
 
 TOL = Fraction(1, 4)
 
@@ -97,8 +99,8 @@ class TestInitialFds:
 
 
 class TestSolverSplit:
-    """Dual simplex below IPM_MIN_NODES nodes, interior point from there on,
-    both on a sparse constraint matrix.  ``__wrapped__`` bypasses the cache."""
+    """Dual simplex on a dense matrix below IPM_MIN_NODES nodes, interior
+    point on a sparse one from there on.  ``__wrapped__`` bypasses the cache."""
 
     def test_method_by_size(self, monkeypatch):
         calls = []
@@ -114,36 +116,110 @@ class TestSolverSplit:
             x = lp_init._lp_solution.__wrapped__(g)
             assert validate_cfds(g, CFDS.fds(dict(enumerate(x)))) == []
         assert [method for method, _ in calls] == ["highs", "highs-ipm"]
-        assert all(sparse.issparse(a) for _, a in calls)
+        assert [sparse.issparse(a) for _, a in calls] == [False, True]
 
     def test_simplex_side_equals_dense_solve(self, monkeypatch):
-        """Below the constant, the sparse solve repairs to exactly the
-        solution of a dense-matrix ``highs`` solve."""
+        """Below the constant, the dense-matrix solve repairs to exactly the
+        solution of a sparse-matrix ``highs`` solve with per-variable bounds."""
         real = lp_init.linprog
 
-        def dense_highs(c, A_ub, b_ub, bounds, method):
+        def sparse_highs(c, A_ub, b_ub, bounds, method):
             n = len(c)
             return real(
                 c=c,
-                A_ub=A_ub.toarray(),
+                A_ub=sparse.csr_matrix(A_ub),
                 b_ub=b_ub,
                 bounds=[(0.0, 1.0)] * n,
                 method="highs",
             )
 
-        rng = random.Random(8)
-        graphs = []
-        while len(graphs) < 20:
-            n = rng.randint(10, IPM_MIN_NODES - 1)
-            p = rng.uniform(1.5, 4.0) / n
-            edges = [
-                (u, v) for u in range(n) for v in range(u + 1, n)
-                if rng.random() < p
-            ]
-            g = Graph(n, edges)
-            if g.max_degree > 0:
-                graphs.append(g)
+        graphs = _random_graphs(random.Random(8), 20, 10, IPM_MIN_NODES - 1)
         solve = lp_init._lp_solution.__wrapped__
-        sparse_x = [solve(g) for g in graphs]
-        monkeypatch.setattr(lp_init, "linprog", dense_highs)
-        assert sparse_x == [solve(g) for g in graphs]
+        dense_x = [solve(g) for g in graphs]
+        monkeypatch.setattr(lp_init, "linprog", sparse_highs)
+        assert dense_x == [solve(g) for g in graphs]
+
+
+def _random_graphs(rng, count, lo, hi):
+    """*count* random graphs of lo..hi nodes with 1.5-4 expected degree and
+    at least one edge."""
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(lo, hi)
+        p = rng.uniform(1.5, 4.0) / n
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < p
+        ]
+        g = Graph(n, edges)
+        if g.max_degree > 0:
+            graphs.append(g)
+    return graphs
+
+
+def _fraction_repair(graph, floats):
+    """The repair on Fractions: clip to [0, 1], divide by the smallest
+    inclusive-neighborhood sum if it is below 1, cap at 1, round up to the
+    grid of 2**-iota(n)."""
+    raw = [Fraction(min(max(float(val), 0.0), 1.0)) for val in floats]
+    min_sum = min(
+        raw[v] + sum((raw[u] for u in graph.adj[v]), Fraction(0))
+        for v in range(graph.n)
+    )
+    if min_sum < 1:
+        raw = [min(Fraction(1), val / min_sum) for val in raw]
+    return tuple(quantize_up(val, graph.n) for val in raw), min_sum < 1
+
+
+@pytest.mark.parametrize("side", ["simplex", "ipm"])
+def test_integer_repair_equals_fraction_repair(monkeypatch, side):
+    """On 100 graphs on each side of IPM_MIN_NODES, the integer repair of the
+    solver's floats gives exactly the values of the Fraction repair."""
+    seen = []
+    real = lp_init.linprog
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        seen.append(res.x.copy())
+        return res
+
+    monkeypatch.setattr(lp_init, "linprog", recording)
+    lo, hi = (6, IPM_MIN_NODES - 1) if side == "simplex" else (
+        IPM_MIN_NODES, IPM_MIN_NODES + 50
+    )
+    scaled = 0
+    for g in _random_graphs(random.Random(f"repair:{side}"), 100, lo, hi):
+        got = lp_init._lp_solution.__wrapped__(g)
+        want, was_scaled = _fraction_repair(g, seen[-1])
+        assert got == want
+        scaled += was_scaled
+    # the division by a neighborhood sum below 1 is exercised
+    assert scaled > 0
+
+
+def test_integer_repair_on_arbitrary_floats(monkeypatch):
+    """The repair equals the Fraction repair on solver outputs with
+    neighborhood sums both below and above 1, including values outside
+    [0, 1] that the repair clips."""
+    rng = random.Random("repair:floats")
+    vector = []
+    monkeypatch.setattr(
+        lp_init, "linprog",
+        lambda **kwargs: SimpleNamespace(success=True, x=np.array(vector)),
+    )
+    sides = set()
+    for g in _random_graphs(rng, 100, 3, 40):
+        vector[:] = [
+            rng.choice([0.0, 1.0, -1e-9, 1.0 + 1e-9, rng.uniform(0.05, 0.9)])
+            for _ in range(g.n)
+        ]
+        if any(
+            all(vector[u] <= 0 for u in g.closed_neighbors(v)) for v in range(g.n)
+        ):
+            with pytest.raises(StructuralError, match="all-zero neighborhood"):
+                lp_init._lp_solution.__wrapped__(g)
+            continue
+        want, was_scaled = _fraction_repair(g, vector)
+        assert lp_init._lp_solution.__wrapped__(g) == want
+        sides.add(was_scaled)
+    assert sides == {False, True}

@@ -1,14 +1,17 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from congestds import rounding
-from congestds.errors import DomainError, EnumerationBudgetError
+from congestds.errors import DomainError, EnumerationBudgetError, PrecisionError
 from congestds.graph import Graph
 from congestds.rounding import (
     IndependentCoinLaw,
     RoundingInstance,
+    branch_sum,
     conditional_expected_value,
     exact_uncover_prob,
     expected_output_size,
@@ -17,8 +20,9 @@ from congestds.rounding import (
     phase1,
     phase2,
     run_phases,
+    scale_values,
 )
-from congestds.values import CFDS, ln_upper, quantize_up, validate_cfds
+from congestds.values import CFDS, iota_for, ln_upper, quantize_up, validate_cfds
 
 HALF = Fraction(1, 2)
 
@@ -69,6 +73,65 @@ class TestInstanceValidation:
         assert inst.ratio(0) - Fraction(1, 3) <= Fraction(1, 1 << 10)
         assert inst.ratio(1) == 1
 
+    def test_error_cases(self):
+        g = Graph(2, [(0, 1)])  # iota = 10
+        ok = {0: HALF, 1: HALF}
+
+        def build(x=ok, p=ok, c=ok):
+            return RoundingInstance(graph=g, x=dict(x), p=dict(p), c=dict(c))
+
+        with pytest.raises(
+            PrecisionError, match=r"^x\(1\) = 1/3 is not transmittable at width 10$"
+        ):
+            build(x={0: HALF, 1: Fraction(1, 3)}, p={0: HALF, 1: Fraction(1)})
+        with pytest.raises(PrecisionError, match=r"^c\(0\) = 1/2048 is not"):
+            build(c={0: Fraction(1, 2048), 1: HALF})
+        with pytest.raises(DomainError, match=r"^p\(1\) = 1/4 < x\(1\) = 1/2$"):
+            build(p={0: HALF, 1: Fraction(1, 4)})
+        # p < x is reported before either value's range
+        with pytest.raises(DomainError, match=r"^p\(0\) = 1 < x\(0\) = 2$"):
+            build(x={0: 2, 1: HALF}, p={0: 1, 1: HALF})
+        with pytest.raises(DomainError, match=r"^x\(0\) = -1/2 outside \[0, 1\]$"):
+            build(x={0: -HALF, 1: HALF})
+        with pytest.raises(DomainError, match=r"^p\(1\) = 3/2 outside \[0, 1\]$"):
+            build(p={0: HALF, 1: Fraction(3, 2)})
+        with pytest.raises(DomainError, match=r"^c\(1\) = 5/4 outside \[0, 1\]$"):
+            build(c={0: HALF, 1: Fraction(5, 4)})
+        # a range error comes before a precision error of the same value
+        with pytest.raises(DomainError, match=r"^c\(0\) = 4/3 outside"):
+            build(c={0: Fraction(4, 3), 1: HALF})
+
+    def test_units_match_fraction_reference(self):
+        """Ratios, deterministic values, constraint units and participation
+        equal their Fraction definitions on random dyadic instances."""
+        rng = random.Random("instance-units")
+        for _ in range(100):
+            n = rng.randint(1, 8)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.4])
+            one = 1 << iota_for(max(n, 2))
+            x, p, c = {}, {}, {}
+            for v in range(n):
+                pick = [0, 1, one, one // 2, rng.randint(0, one)]
+                a, b = sorted(rng.choice(pick) for _ in range(2))
+                x[v], p[v] = Fraction(a, one), Fraction(b, one)
+                c[v] = Fraction(rng.choice(pick), one)
+            inst = RoundingInstance(graph=g, x=x, p=p, c=c)
+            for v in range(n):
+                if p[v] == 0:
+                    ratio = Fraction(0)
+                elif x[v] >= p[v]:
+                    ratio = Fraction(1)
+                else:
+                    ratio = quantize_up(x[v] / p[v], max(n, 2))
+                assert inst.ratio(v) == ratio
+                assert inst.ratio_units[v] == ratio * one
+                det = ratio if p[v] == 1 else Fraction(0)
+                assert inst.deterministic_value(v) == det
+                assert inst.det_units[v] == det * one
+                assert inst.c_units[v] == c[v] * one
+            assert inst.participating() == [v for v in range(n) if 0 < p[v] < 1]
+
 
 class TestPhases:
     def test_phase1_success_and_failure(self):
@@ -89,6 +152,11 @@ class TestPhases:
         inst = k2_half()
         out = phase2(inst, phase1(inst, {0: 1, 1: 0}))
         assert out.x == {0: Fraction(1), 1: Fraction(0)}
+
+    def test_phase2_rejects_values_off_the_grid(self):
+        inst = k2_half()  # iota = 10
+        with pytest.raises(PrecisionError, match=r"^X\(1\) = 1/3 is not"):
+            phase2(inst, {0: HALF, 1: Fraction(1, 3)})
 
     def test_output_always_valid(self):
         inst = k2_half()
@@ -130,6 +198,28 @@ class TestInstanceBuilders:
         assert inst.x[0] == Fraction(3, 16)
         # (1+eps)*1/4 = 3/8 >= 1/4 becomes deterministic
         assert inst.p[1] == Fraction(1)
+
+    def test_scale_values_matches_fraction_reference(self):
+        """Integer scaling equals factor * x' capped at 1 and quantized up,
+        on dyadic and non-dyadic x' and both kinds of factor."""
+        rng = random.Random("scale-values")
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            den = rng.choice([3, 7, 16, 1 << 30, 12])
+            xp = CFDS.fds({v: Fraction(rng.randint(0, den), den) for v in range(n)})
+            factor = rng.choice(
+                [ln_upper(rng.randint(2, 60)), 1 + Fraction(1, rng.randint(1, 9))]
+            )
+            r = rng.choice([None, rng.randint(2, 64)])
+            x, p = scale_values(xp, factor, n, r)
+            for v in range(n):
+                val = factor * xp.x[v]
+                want = Fraction(1) if val >= 1 else quantize_up(val, max(n, 2))
+                assert x[v] == want
+                if r is None:
+                    assert p[v] == want
+                else:
+                    assert p[v] == (HALF if want < Fraction(2, r) else 1)
 
     def test_factor_two_rejects_bad_eps(self):
         g = Graph(1, [])
@@ -230,6 +320,43 @@ class TestExactExpectations:
         for v in range(5):
             assert conditional_expected_value(inst, law, v) == expect[v]
             assert exact_uncover_prob(inst, law, v) == uncover[v]
+
+    @pytest.mark.parametrize("fix", ["coin", "bit"])
+    def test_branch_sum_equals_fraction_ceilings(self, fix):
+        """branch_sum equals the sum over the nodes of ceil(alpha * n^10) /
+        n^10 under random partial laws: coins fixed outright (color-ordered)
+        or string bits fixed most-significant first (cluster-ordered)."""
+        rng = random.Random(f"branch-sum:{fix}")
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.4])
+            width = max(n, 2)
+            b = iota_for(width)
+            xp = CFDS.fds({v: Fraction(rng.randint(1, 16), 16) for v in range(n)})
+            if g.delta_tilde < 2:
+                continue
+            inst = one_shot_instance(g, xp)
+            S = inst.participating()
+            law = IndependentCoinLaw({v: inst.p[v] for v in S}, b=b)
+            for v in rng.sample(S, rng.randint(0, len(S))):
+                if fix == "coin":
+                    law.fix_coin(v, rng.randint(0, 1))
+                else:
+                    for index in range(rng.randint(1, 6)):
+                        law.fix_bit(v, index, rng.randint(0, 1))
+            unit = Fraction(1, width**10)
+            nodes = rng.sample(range(n), rng.randint(1, n))
+            want = Fraction(0)
+            for u in nodes:
+                alpha = conditional_expected_value(inst, law, u)
+                want += Fraction(math.ceil(alpha * width**10), width**10)
+            assert branch_sum(inst, law, nodes, unit) == want
+            total = sum(
+                (conditional_expected_value(inst, law, u) for u in range(n)),
+                Fraction(0),
+            )
+            assert expected_output_size(inst, law) == total
 
     def test_prefix_bits_refine_marginal(self):
         law = IndependentCoinLaw({0: Fraction(5, 16)}, b=4)

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,11 +12,10 @@ from congestds.graph import Graph
 from congestds.values import (
     CFDS,
     EXP_BITS,
-    ceil_to_multiple,
     exp_lower,
+    fraction_sum,
     fractionality,
     iota_for,
-    is_multiple_of,
     ln_upper,
     log_star,
     quantize_up,
@@ -62,13 +62,6 @@ class TestQuantize:
             if i:
                 assert 2 ** (i - 1) < n**10
 
-    def test_ceil_to_multiple(self):
-        unit = Fraction(1, 8)
-        assert ceil_to_multiple(Fraction(1, 3), unit) == Fraction(3, 8)
-        assert ceil_to_multiple(Fraction(1, 4), unit) == Fraction(1, 4)
-        assert is_multiple_of(Fraction(5, 8), unit)
-        assert not is_multiple_of(Fraction(1, 3), unit)
-
 
 class TestCFDS:
     def test_triangle_half_values(self):
@@ -94,6 +87,66 @@ class TestCFDS:
     def test_value_range(self):
         with pytest.raises(DomainError):
             CFDS.fds({0: Fraction(3, 2)})
+
+    def test_range_checked_on_both_maps(self):
+        with pytest.raises(DomainError, match=r"x\(0\) = -1/4 outside"):
+            CFDS.fds({0: Fraction(-1, 4)})
+        with pytest.raises(DomainError, match=r"c\(1\) = 4/3 outside"):
+            CFDS(x={0: 0, 1: 1}, c={0: 1, 1: Fraction(4, 3)})
+        # values that are not yet Fractions are wrapped
+        d = CFDS(x={0: 1, 1: "1/3"}, c={0: 0.5, 1: 1})
+        assert d.x == {0: Fraction(1), 1: Fraction(1, 3)}
+        assert d.c == {0: Fraction(1, 2), 1: Fraction(1)}
+        assert all(type(val) is Fraction for val in [*d.x.values(), *d.c.values()])
+
+    @pytest.mark.parametrize("dyadic", [True, False])
+    def test_validate_matches_fraction_sums(self, dyadic):
+        """The integer check returns what summing Fractions returns, on
+        dyadic and non-dyadic (thirds, fifths, sevenths) values, with
+        constraints placed on, just above and just below each node's sum."""
+
+        def reference(graph, d):
+            return [
+                v for v in range(graph.n)
+                if d.x[v] + sum((d.x[u] for u in graph.adj[v]), Fraction(0))
+                < d.c[v]
+            ]
+
+        rng = random.Random(f"validate:{dyadic}")
+        dens = [2, 4, 8, 1 << 20, 1 << 70] if dyadic else [3, 5, 6, 7, 1 << 10, 9]
+        violated = 0
+        for _ in range(150):
+            n = rng.randint(1, 14)
+            g = Graph(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if rng.random() < 0.3
+            ])
+            x = {}
+            for v in range(n):
+                den = rng.choice(dens)
+                x[v] = Fraction(rng.randint(0, den), den) if rng.random() < 0.8 else 0
+            c = {}
+            for v in range(n):
+                total = x[v] + sum((x[u] for u in g.adj[v]), Fraction(0))
+                nudge = Fraction(rng.choice([-1, 0, 0, 1]), rng.choice(dens))
+                c[v] = min(Fraction(1), max(Fraction(0), total + nudge))
+            d = CFDS(x=x, c=c)
+            got = validate_cfds(g, d)
+            assert got == reference(g, d)
+            violated += bool(got)
+        assert violated > 20
+
+    def test_size_equals_fraction_sum(self):
+        rng = random.Random("size")
+        for _ in range(100):
+            vals = [
+                Fraction(rng.randint(0, d), d)
+                for d in (rng.choice([1, 3, 8, 10, 1 << 40]) for _ in range(12))
+            ]
+            d = CFDS.fds(dict(enumerate(vals)))
+            assert d.size == sum(vals, Fraction(0))
+            assert fraction_sum(vals) == sum(vals, Fraction(0))
+        assert fraction_sum([]) == 0
 
     def test_size_and_support(self):
         d = CFDS.fds({0: Fraction(1, 4), 1: Fraction(0), 2: Fraction(1, 2)})
