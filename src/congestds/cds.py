@@ -119,11 +119,12 @@ def bfs_clustering(
                 "clustering did not terminate; is the graph connected?"
             )
         # round 1: non-S neighbors of last phase's S joiners
+        last_set = set(last_phase_s)
         round1: List[int] = []
         for w in range(graph.n):
             if w in cluster or w in s_set:
                 continue
-            anchors = [u for u in graph.adj[w] if u in set(last_phase_s)]
+            anchors = [u for u in graph.adj[w] if u in last_set]
             if anchors:
                 a = min(anchors)
                 cluster[w] = cluster[a]
@@ -143,7 +144,7 @@ def bfs_clustering(
                 round2.append(w)
         # round 3: S-nodes adjacent to anything newly clustered (this phase's
         # joiners or last phase's S joiners)
-        fresh = round1_set | set(round2) | set(last_phase_s)
+        fresh = round1_set | set(round2) | last_set
         new_s: List[int] = []
         for u in S:
             if u in cluster:
@@ -301,20 +302,15 @@ class CdsResult:
     charged_rounds: int
 
 
-def default_ruling_params(n: int, divisor: int = 8) -> Tuple[int, int]:
-    """alpha ~ log2^2(n)/divisor, beta ~ log2^3(n)/divisor, clamped sanely."""
+def default_ruling_params(n: int) -> Tuple[int, int]:
+    """alpha ~ log2^2(n)/8, beta ~ log2^3(n)/8, with 2 <= alpha <= beta."""
     log = math.log2(max(n, 2))
-    alpha = max(2, math.ceil(log**2 / divisor))
-    beta = max(alpha, math.ceil(log**3 / divisor))
+    alpha = max(2, math.ceil(log**2 / 8))
+    beta = max(alpha, math.ceil(log**3 / 8))
     return alpha, beta
 
 
-def build_cds(
-    graph: Graph,
-    S: Sequence[int],
-    alpha: Optional[int] = None,
-    beta: Optional[int] = None,
-) -> CdsResult:
+def build_cds(graph: Graph, S: Sequence[int]) -> CdsResult:
     """Extend a dominating set S to a connected dominating set S-bar.
 
     S-bar is S plus the pruned-tree connector nodes plus the inner nodes of
@@ -334,11 +330,7 @@ def build_cds(
             clustering=CdsClustering(centers=S, membership={0: 0}, trees={0: {}}, phases=0),
             paths=[], simulated_rounds=0, charged_rounds=0,
         )
-    if alpha is None or beta is None:
-        da, db = default_ruling_params(graph.n)
-        alpha = alpha if alpha is not None else da
-        beta = beta if beta is not None else max(db, alpha)
-    centers = ruling_subset(graph, S, alpha, beta, stats)
+    centers = ruling_subset(graph, S, *default_ruling_params(graph.n), stats)
     clustering = bfs_clustering(graph, S, centers)
     paths = connector_paths(graph, S, clustering)
     # the spanning structure over the cluster graph is delegated to a charged

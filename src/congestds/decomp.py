@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
@@ -102,12 +102,10 @@ def single_cluster_decomposition(graph: Graph) -> NetworkDecomposition:
     )
 
 
-def compute_decomposition(
-    graph: Graph, k: int, radius: Optional[int] = None
-) -> NetworkDecomposition:
+def compute_decomposition(graph: Graph, k: int) -> NetworkDecomposition:
     """Greedy decomposition: BFS balls over unclustered nodes, then coloring.
 
-    Repeatedly grows a BFS ball of the chosen radius from the lowest
+    Repeatedly grows a BFS ball of radius ceil(log2 n) from the lowest
     unclustered id, restricted to unclustered nodes, so each cluster induces
     a connected subgraph with a BFS spanning tree.  Clusters whose members
     come within k hops of each other (in the full graph) get distinct colors.
@@ -116,7 +114,7 @@ def compute_decomposition(
         raise DomainError(f"separation parameter k must be >= 1, got {k}")
     if graph.n == 0:
         raise DomainError("empty graph has no decomposition")
-    d = radius if radius is not None else max(1, math.ceil(math.log2(max(graph.n, 2))))
+    d = math.ceil(math.log2(max(graph.n, 2)))
     unclustered = set(range(graph.n))
     clusters: List[Cluster] = []
     while unclustered:

@@ -65,7 +65,7 @@ class ClusterOutcome:
     result: CFDS
     fixes: List[BitFixRecord]
     simulated_rounds: int
-    initial_expectation: Optional[Fraction] = None
+    initial_expectation: Fraction
     charged_rounds: int = 0
     expectation_log: List[Fraction] = field(default_factory=list)
     round_bound: int = 0
@@ -74,7 +74,6 @@ class ClusterOutcome:
 def derandomize_clusterwise(
     inst: RoundingInstance,
     decomp: NetworkDecomposition,
-    verify: bool = True,
     log_expectations: bool = False,
 ) -> ClusterOutcome:
     """Fix all coin-string bits color by color, then run both phases.
@@ -97,7 +96,7 @@ def derandomize_clusterwise(
     unit = Fraction(1, n**10)
     b = iota_for(n)
     law = IndependentCoinLaw({v: inst.p[v] for v in inst.participating()}, b=b)
-    initial = expected_output_size(inst, law) if verify else None
+    initial = expected_output_size(inst, law)
     # per color, each cluster with its participating members, ascending
     by_color: Dict[int, List[Tuple[Cluster, List[int]]]] = {}
     for cl in decomp.clusters:
@@ -171,12 +170,10 @@ def derandomize_clusterwise(
     bad = validate_cfds(inst.graph, result)
     if bad:
         raise InvariantViolation(f"clusterwise output violates constraints at {bad}")
-    if verify and initial is not None:
-        slack = Fraction(1, n**6)
-        if result.size > initial + slack:
-            raise InvariantViolation(
-                f"output size {result.size} exceeds expectation {initial} + 1/n^6"
-            )
+    if result.size > initial + Fraction(1, n**6):
+        raise InvariantViolation(
+            f"output size {result.size} exceeds expectation {initial} + 1/n^6"
+        )
     return ClusterOutcome(
         result=result,
         fixes=fixes,
@@ -195,8 +192,6 @@ def n_one_shot(
     graph: Graph,
     xprime: CFDS,
     F: int,
-    decomp: Optional[NetworkDecomposition] = None,
-    verify: bool = True,
 ) -> Tuple[CFDS, ClusterOutcome]:
     """Deterministic one-shot rounding of a 1/F-fractional dominating set.
 
@@ -208,9 +203,7 @@ def n_one_shot(
     if graph.delta_tilde < 2:
         raise PreconditionError("one-shot rounding needs at least one edge")
     inst = one_shot_instance(graph, xprime)
-    if decomp is None:
-        decomp = compute_decomposition(graph, 2)
-    outcome = derandomize_clusterwise(inst, decomp, verify=verify)
+    outcome = derandomize_clusterwise(inst, compute_decomposition(graph, 2))
     result = outcome.result
     if not result.is_integral():
         raise InvariantViolation("one-shot output is not integral")
@@ -225,8 +218,6 @@ def n_factor_two(
     xprime: CFDS,
     eps,
     r: int,
-    decomp: Optional[NetworkDecomposition] = None,
-    verify: bool = True,
 ) -> Tuple[CFDS, ClusterOutcome]:
     """Deterministic factor-two rounding of a 1/r-fractional dominating set.
 
@@ -247,9 +238,7 @@ def n_factor_two(
             f"need r >= 256 * eps^-3 * ln Delta~, got {r}"
         )
     inst = factor_two_instance(graph, xprime, eps, r)
-    if decomp is None:
-        decomp = compute_decomposition(graph, 2)
-    outcome = derandomize_clusterwise(inst, decomp, verify=verify)
+    outcome = derandomize_clusterwise(inst, compute_decomposition(graph, 2))
     result = outcome.result
     bad = validate_cfds(graph, result)
     if bad:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .bipartite import (
     Coloring,
@@ -61,7 +61,7 @@ class DerandOutcome:
     result: CFDS
     decisions: List[DecisionRecord]
     simulated_rounds: int
-    initial_expectation: Optional[Fraction] = None
+    initial_expectation: Fraction
     expectation_log: List[Fraction] = field(default_factory=list)
     charged_rounds: int = 0
 
@@ -69,7 +69,6 @@ class DerandOutcome:
 def derandomize_colorwise(
     inst: RoundingInstance,
     coloring: Coloring,
-    verify: bool = True,
     log_expectations: bool = False,
 ) -> DerandOutcome:
     """Fix every undetermined coin by conditional expectations, color by color.
@@ -78,8 +77,8 @@ def derandomize_colorwise(
     proper distance-2 coloring in the host graph.  Per color class the run
     costs 3 rounds (exchange fixed coins, branch expectations, decisions);
     ``simulated_rounds`` is counted by this schedule's formula, 3 per class,
-    not by a simulation.  With ``verify`` the output size is checked against
-    the exact initial expectation plus the quantization slack 1/n^7.
+    not by a simulation.  The output size is checked against the exact
+    initial expectation plus the quantization slack 1/n^7.
     """
     S = inst.participating()
     if set(coloring.color) != set(S):
@@ -93,7 +92,7 @@ def derandomize_colorwise(
         {v: inst.p[v] for v in S}, b=iota_for(n)
     )
     unit = Fraction(1, n**10)
-    initial = expected_output_size(inst, law) if verify else None
+    initial = expected_output_size(inst, law)
     decisions: List[DecisionRecord] = []
     expectation_log: List[Fraction] = []
     for color_idx, members in enumerate(coloring.classes(), start=1):
@@ -118,12 +117,10 @@ def derandomize_colorwise(
     bad = validate_cfds(inst.graph, result)
     if bad:
         raise InvariantViolation(f"derandomized output violates constraints at {bad}")
-    if verify and initial is not None:
-        slack = Fraction(1, n**7)
-        if result.size > initial + slack:
-            raise InvariantViolation(
-                f"output size {result.size} exceeds expectation {initial} + 1/n^7"
-            )
+    if result.size > initial + Fraction(1, n**7):
+        raise InvariantViolation(
+            f"output size {result.size} exceeds expectation {initial} + 1/n^7"
+        )
     return DerandOutcome(
         result=result,
         decisions=decisions,
@@ -171,7 +168,6 @@ def delta_one_shot(
     graph: Graph,
     xprime: CFDS,
     F: int,
-    verify: bool = True,
 ) -> Tuple[CFDS, DerandOutcome]:
     """Deterministic one-shot rounding via the bipartite representation.
 
@@ -204,7 +200,7 @@ def delta_one_shot(
         raise InvariantViolation(
             f"value-side coloring used {coloring.num_colors} > F*Delta~ colors"
         )
-    outcome = derandomize_colorwise(inst, coloring, verify=verify)
+    outcome = derandomize_colorwise(inst, coloring)
     delta_l = max((host.degree(v) for v in range(n)), default=0)
     delta_r = max((host.degree(b) for b in range(n, 2 * n)), default=0)
     outcome.charged_rounds = coloring_round_cost(delta_l, delta_r, n)
@@ -225,7 +221,6 @@ def delta_factor_two(
     xprime: CFDS,
     eps,
     r: int,
-    verify: bool = True,
 ) -> Tuple[CFDS, DerandOutcome]:
     """Deterministic factor-two rounding via constraint-node splitting.
 
@@ -270,14 +265,14 @@ def delta_factor_two(
     for b in split.left_origin:
         mass = sum((xprime.x[u] for u in host.adj[b]), ZERO)
         c[b] = min(ONE, mass)
-    inst = RoundingInstance(graph=host, x=x, p=p, c=c, ambient_n=host.n)
+    inst = RoundingInstance(graph=host, x=x, p=p, c=c)
     S = inst.participating()
     coloring = greedy_distance2_coloring(host, S)
     if coloring.num_colors > 2 * s * dt:
         raise InvariantViolation(
             f"split coloring used {coloring.num_colors} > 2*s*Delta~ colors"
         )
-    outcome = derandomize_colorwise(inst, coloring, verify=verify)
+    outcome = derandomize_colorwise(inst, coloring)
     delta_l = max((host.degree(b) for b in split.left_origin), default=0)
     delta_r = max((host.degree(v) for v in range(n)), default=0)
     outcome.charged_rounds = coloring_round_cost(delta_l, delta_r, n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError
@@ -11,7 +12,7 @@ from .errors import DomainError
 class Graph:
     """Simple undirected graph on nodes 0..n-1 with sorted adjacency lists."""
 
-    __slots__ = ("n", "adj", "_closed_masks")
+    __slots__ = ("n", "adj", "_closed", "_closed_masks", "lp_solution")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -26,16 +27,18 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj: List[List[int]] = [sorted(s) for s in adj]
+        self._closed: List[Tuple[int, ...]] = [
+            tuple(sorted((*a, v))) for v, a in enumerate(self.adj)
+        ]
         self._closed_masks: Optional[List[int]] = None
+        #: the repaired covering-LP solution, set by ``lp_init`` on first use
+        self.lp_solution: Optional[Tuple[Fraction, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
 
-    def closed_neighbors(self, v: int) -> List[int]:
+    def closed_neighbors(self, v: int) -> Tuple[int, ...]:
         """Inclusive neighborhood, ascending."""
-        out = list(self.adj[v])
-        out.append(v)
-        out.sort()
-        return out
+        return self._closed[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -46,7 +45,8 @@ def lp_fractional_opt(
 
     Exactly feasible by construction; the solver's float output is repaired
     upward, which can only grow the objective by a vanishing amount relative
-    to tol at desk scale.
+    to tol at desk scale.  The repaired solution depends only on the graph,
+    so it is solved once per ``Graph`` object and kept on it.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -58,10 +58,11 @@ def lp_fractional_opt(
         charge_oracle(stats, lp_round_charge(tol, graph.max_degree), "lp-solver")
     if graph.max_degree == 0:
         return CFDS.fds({v: ONE for v in range(n)})
-    return CFDS.fds(dict(enumerate(_lp_solution(graph))))
+    if graph.lp_solution is None:
+        graph.lp_solution = _lp_solution(graph)
+    return CFDS.fds(dict(enumerate(graph.lp_solution)))
 
 
-@lru_cache(maxsize=65536)
 def _lp_solution(graph: Graph) -> Tuple[Fraction, ...]:
     """Repaired, exactly feasible LP solution (depends only on the graph)."""
     n = graph.n

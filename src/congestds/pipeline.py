@@ -134,9 +134,11 @@ def _opt_estimate(
     """Brute-force optimum when feasible, else an LP-based estimate.
 
     Above *opt_cap* the value is the size of the repaired fractional LP
-    solution, labelled ``"lp-estimate"``.  The LP optimum is a lower bound on
-    OPT and the repaired size sits at or slightly above it, so the estimate
-    certifies neither a lower nor an upper bound on OPT.
+    solution, labelled ``"lp-estimate"``; the run's LP start has already
+    stored that solution on the graph, so it is not solved again.  The LP
+    optimum is a lower bound on OPT and the repaired size sits at or slightly
+    above it, so the estimate certifies neither a lower nor an upper bound on
+    OPT.
     """
     if graph.n <= opt_cap:
         return Fraction(brute_force_mds(graph, cap=opt_cap)[0]), "brute-force"
@@ -191,7 +193,6 @@ def _run_mds(
     eps,
     scheme: str,
     opt_cap: int,
-    verify: bool,
 ) -> Tuple[List[int], RunReport]:
     if graph.n == 0:
         raise DomainError("empty graph")
@@ -214,9 +215,9 @@ def _run_mds(
 
     F_eff = max(1, math.ceil(1 / frac))
     if scheme == "n":
-        ds_cfds, outcome = n_one_shot(graph, current, F_eff, verify=verify)
+        ds_cfds, outcome = n_one_shot(graph, current, F_eff)
     else:
-        ds_cfds, outcome = delta_one_shot(graph, current, F_eff, verify=verify)
+        ds_cfds, outcome = delta_one_shot(graph, current, F_eff)
     report.stages.append(
         StageReport(
             "one-shot",
@@ -245,32 +246,29 @@ def run_mds_n(
     graph: Graph,
     eps,
     opt_cap: int = DEFAULT_OPT_CAP,
-    verify: bool = True,
 ) -> Tuple[List[int], RunReport]:
     """Full pipeline with cluster-ordered derandomization."""
-    return _run_mds(graph, eps, "n", opt_cap, verify)
+    return _run_mds(graph, eps, "n", opt_cap)
 
 
 def run_mds_delta(
     graph: Graph,
     eps,
     opt_cap: int = DEFAULT_OPT_CAP,
-    verify: bool = True,
 ) -> Tuple[List[int], RunReport]:
     """Full pipeline with coloring-ordered derandomization on bipartite hosts."""
-    return _run_mds(graph, eps, "delta", opt_cap, verify)
+    return _run_mds(graph, eps, "delta", opt_cap)
 
 
 def run_cds(
     graph: Graph,
     eps,
     opt_cap: int = DEFAULT_OPT_CAP,
-    verify: bool = True,
 ) -> Tuple[List[int], RunReport]:
     """Dominating set via the n-pipeline, then connected extension."""
     if not graph.is_connected():
         raise PreconditionError("connected dominating sets need a connected graph")
-    ds, report = run_mds_n(graph, eps, opt_cap=opt_cap, verify=verify)
+    ds, report = run_mds_n(graph, eps, opt_cap=opt_cap)
     result = build_cds(graph, ds)
     report.stages.append(
         StageReport(

@@ -184,23 +184,19 @@ def scale_values(
     return x, p
 
 
-def one_shot_instance(
-    graph: Graph, xprime: CFDS, delta_tilde: Optional[int] = None, ambient_n: int = 0
-) -> RoundingInstance:
+def one_shot_instance(graph: Graph, xprime: CFDS) -> RoundingInstance:
     """Scale values by ln(max inclusive-neighborhood size) and set p = x."""
-    if delta_tilde is None:
-        delta_tilde = graph.delta_tilde
+    delta_tilde = graph.delta_tilde
     if delta_tilde < 2:
         raise DomainError(
             f"one-shot rounding needs max inclusive neighborhood >= 2, got {delta_tilde}"
         )
-    amb = ambient_n or graph.n
-    x, p = scale_values(xprime, ln_upper(delta_tilde), amb)
-    return RoundingInstance(graph=graph, x=x, p=p, c=dict(xprime.c), ambient_n=amb)
+    x, p = scale_values(xprime, ln_upper(delta_tilde), graph.n)
+    return RoundingInstance(graph=graph, x=x, p=p, c=dict(xprime.c))
 
 
 def factor_two_instance(
-    graph: Graph, xprime: CFDS, eps, r: int, ambient_n: int = 0
+    graph: Graph, xprime: CFDS, eps, r: int
 ) -> RoundingInstance:
     """Scale values by (1+eps); nodes below 2/r double with probability 1/2."""
     if r < 1:
@@ -208,9 +204,8 @@ def factor_two_instance(
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
-    amb = ambient_n or graph.n
-    x, p = scale_values(xprime, 1 + eps, amb, r)
-    return RoundingInstance(graph=graph, x=x, p=p, c=dict(xprime.c), ambient_n=amb)
+    x, p = scale_values(xprime, 1 + eps, graph.n, r)
+    return RoundingInstance(graph=graph, x=x, p=p, c=dict(xprime.c))
 
 
 # -- the coin law and its fixes ---------------------------------------------

@@ -61,12 +61,6 @@ class TestComputeDecomposition:
         assert len(nd.clusters) == 2
         assert nd.num_colors == 1
 
-    def test_radius_override(self):
-        g = path(6)
-        nd = compute_decomposition(g, 2, radius=1)
-        validate_decomposition(g, nd)
-        assert all(cl.tree.depth() <= 1 for cl in nd.clusters)
-
     def test_bad_k(self):
         with pytest.raises(DomainError):
             compute_decomposition(path(3), 0)

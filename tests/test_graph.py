@@ -29,8 +29,8 @@ class TestGraphBasics:
 
     def test_closed_neighbors(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert g.closed_neighbors(1) == [0, 1, 2]
-        assert g.closed_neighbors(0) == [0, 1]
+        assert g.closed_neighbors(1) == (0, 1, 2)
+        assert g.closed_neighbors(0) == (0, 1)
 
     def test_distances_and_connectivity(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3)])

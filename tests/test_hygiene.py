@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name, parameter and definition is used."""
+"""Source hygiene: every imported name, parameter and definition is used,
+and no function keeps a functools cache."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,22 @@ def unused_parameters(source: str):
             for a in params
             if a.arg not in ("self", "cls") and a.arg not in read
         )
+    return sorted(out)
+
+
+def cached_functions(source: str):
+    """Functions decorated with ``functools.lru_cache`` or ``functools.cache``,
+    called or bare, qualified or imported by name."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            if isinstance(dec, ast.Call):
+                dec = dec.func
+            name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+            if name in ("lru_cache", "cache"):
+                out.append(fn.name)
     return sorted(out)
 
 
@@ -122,6 +139,30 @@ def test_detects_unused_parameter():
 def test_detects_unused_name():
     src = "from typing import Dict, List\nimport math\n\ndef f(x: List[int]): return x\n"
     assert unused_imports(src) == ["Dict", "math"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_functools_caches(path):
+    assert cached_functions(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_cache_decorator():
+    src = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(g): return g\n"
+        "@lru_cache\n"
+        "def b(g): return g\n"
+        "class K:\n"
+        "    @functools.cache\n"
+        "    def c(self): return 1\n"
+        "    @cache\n"
+        "    def d(self): return 2\n"
+        "    @staticmethod\n"
+        "    def e(): return 3\n"
+    )
+    assert cached_functions(src) == ["a", "b", "c", "d"]
 
 
 def test_no_unreferenced_definitions():

@@ -100,7 +100,8 @@ class TestInitialFds:
 
 class TestSolverSplit:
     """Dual simplex on a dense matrix below IPM_MIN_NODES nodes, interior
-    point on a sparse one from there on.  ``__wrapped__`` bypasses the cache."""
+    point on a sparse one from there on.  ``_lp_solution`` is the uncached
+    solve."""
 
     def test_method_by_size(self, monkeypatch):
         calls = []
@@ -113,7 +114,7 @@ class TestSolverSplit:
         monkeypatch.setattr(lp_init, "linprog", recording)
         for n in (10, IPM_MIN_NODES):
             g = generate_graph("path", {"n": n})
-            x = lp_init._lp_solution.__wrapped__(g)
+            x = lp_init._lp_solution(g)
             assert validate_cfds(g, CFDS.fds(dict(enumerate(x)))) == []
         assert [method for method, _ in calls] == ["highs", "highs-ipm"]
         assert [sparse.issparse(a) for _, a in calls] == [False, True]
@@ -134,7 +135,7 @@ class TestSolverSplit:
             )
 
         graphs = _random_graphs(random.Random(8), 20, 10, IPM_MIN_NODES - 1)
-        solve = lp_init._lp_solution.__wrapped__
+        solve = lp_init._lp_solution
         dense_x = [solve(g) for g in graphs]
         monkeypatch.setattr(lp_init, "linprog", sparse_highs)
         assert dense_x == [solve(g) for g in graphs]
@@ -189,7 +190,7 @@ def test_integer_repair_equals_fraction_repair(monkeypatch, side):
     )
     scaled = 0
     for g in _random_graphs(random.Random(f"repair:{side}"), 100, lo, hi):
-        got = lp_init._lp_solution.__wrapped__(g)
+        got = lp_init._lp_solution(g)
         want, was_scaled = _fraction_repair(g, seen[-1])
         assert got == want
         scaled += was_scaled
@@ -217,9 +218,9 @@ def test_integer_repair_on_arbitrary_floats(monkeypatch):
             all(vector[u] <= 0 for u in g.closed_neighbors(v)) for v in range(g.n)
         ):
             with pytest.raises(StructuralError, match="all-zero neighborhood"):
-                lp_init._lp_solution.__wrapped__(g)
+                lp_init._lp_solution(g)
             continue
         want, was_scaled = _fraction_repair(g, vector)
-        assert lp_init._lp_solution.__wrapped__(g) == want
+        assert lp_init._lp_solution(g) == want
         sides.add(was_scaled)
     assert sides == {False, True}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import congestds.lp_init as lp_init
 from congestds.cds import is_dominating
 from congestds.errors import DomainError, PreconditionError
 from congestds.generators import complete, generate_graph, gnp_connected, petersen
@@ -129,6 +130,30 @@ def test_lp_estimate_above_opt_cap():
     _, report = run_mds_n(petersen(), Fraction(1, 2), opt_cap=0)
     assert report.extras["opt_kind"] == "lp-estimate"
     assert sorted(report.params) == ["delta_tilde", "eps", "eps1"]
+
+
+def test_one_lp_solve_per_graph_object(monkeypatch):
+    """The LP start and the OPT estimate share one solve, kept on the graph
+    object: a second pipeline on the same object solves nothing, and an equal
+    but distinct graph solves again."""
+    calls = []
+    real = lp_init.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_init, "linprog", counting)
+    g = generate_graph("cycle", {"n": 30})
+    _, report = run_mds_n(g, Fraction(1, 2))
+    assert report.extras["opt_kind"] == "lp-estimate"
+    assert len(calls) == 1
+    run_mds_delta(g, Fraction(1, 2))
+    assert len(calls) == 1
+    twin = Graph(g.n, g.edges())
+    assert twin == g and twin is not g
+    run_mds_n(twin, Fraction(1, 2))
+    assert len(calls) == 2
 
 
 def test_delta_pipeline_high_degree():
