@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
@@ -85,6 +85,21 @@ def decomposition_charge(n: int, k: int) -> int:
     return k * int(f)
 
 
+def _ball(graph: Graph, sources: List[int], radius: int) -> Set[int]:
+    """Nodes within *radius* hops of any of *sources*: one multi-source BFS."""
+    seen = set(sources)
+    frontier = list(seen)
+    for _ in range(radius):
+        nxt = []
+        for u in frontier:
+            for w in graph.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
 def single_cluster_decomposition(graph: Graph) -> NetworkDecomposition:
     """The whole (connected) graph as one cluster led by node 0."""
     if graph.n == 0:
@@ -139,18 +154,11 @@ def compute_decomposition(graph: Graph, k: int) -> NetworkDecomposition:
         clusters.append(Cluster(leader=src, members=members, tree=tree))
 
     # color the conflict structure: clusters within k hops must differ
-    near: Dict[int, set] = {cl.leader: set() for cl in clusters}
-    for i, a in enumerate(clusters):
-        reach = set()
-        for v in a.members:
-            reach.update(graph.bfs_distances(v, limit=k))
-        for b_cl in clusters[i + 1 :]:
-            if reach & set(b_cl.members):
-                near[a.leader].add(b_cl.leader)
-                near[b_cl.leader].add(a.leader)
+    leader_of = {v: cl.leader for cl in clusters for v in cl.members}
     color: Dict[int, int] = {}
     for cl in clusters:
-        used = {color[l] for l in near[cl.leader] if l in color}
+        near = {leader_of[w] for w in _ball(graph, cl.members, k)}
+        used = {color[l] for l in near if l in color}
         c = 1
         while c in used:
             c += 1
@@ -192,13 +200,16 @@ def validate_decomposition(graph: Graph, nd: NetworkDecomposition) -> None:
             raise StructuralError(f"cluster {cl.leader} has no color")
         by_color.setdefault(nd.color[cl.leader], []).append(cl)
     for cls in by_color.values():
+        index = {cl.leader: i for i, cl in enumerate(cls)}
         for i, a in enumerate(cls):
-            reach = set()
-            for v in a.members:
-                reach.update(graph.bfs_distances(v, limit=nd.k))
-            for b_cl in cls[i + 1 :]:
-                if reach & set(b_cl.members):
-                    raise StructuralError(
-                        f"same-colored clusters {a.leader} and {b_cl.leader} "
-                        f"are within {nd.k} hops"
-                    )
+            # the first later cluster of this color within k hops of a
+            later = [
+                index[seen[w]]
+                for w in _ball(graph, a.members, nd.k)
+                if index.get(seen[w], -1) > i
+            ]
+            if later:
+                raise StructuralError(
+                    f"same-colored clusters {a.leader} and "
+                    f"{cls[min(later)].leader} are within {nd.k} hops"
+                )

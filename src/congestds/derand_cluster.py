@@ -1,17 +1,16 @@
 """Cluster-ordered derandomization over a 2-hop network decomposition.
 
-Each participating node owns a private coin string, and its cluster fixes
-the string bit by bit; clusters of the same decomposition color have disjoint
-2-hop neighborhoods, so they fix their members' bits in parallel, with the
-leader comparing aggregated quantized conditional expectations of the two
-branch values.
+Each participating node owns a private coin, and its cluster fixes it in
+one decision: clusters of the same decomposition color have disjoint 2-hop
+neighborhoods, so they fix their members' coins in parallel, with the leader
+comparing aggregated quantized conditional expectations of the two branches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from .decomp import (
     Cluster,
@@ -33,6 +32,7 @@ from .rounding import (
 )
 from .values import (
     CFDS,
+    ONE,
     fractionality,
     iota_for,
     ln_upper,
@@ -41,20 +41,19 @@ from .values import (
 
 
 @dataclass
-class BitFixRecord:
-    """One coin-string bit decision: compare branch sums, keep the cheaper one.
+class CoinFixRecord:
+    """One coin decision: compare branch sums, keep coin 1 iff s1 < s0.
 
-    ``skipped`` marks bits whose coin was already determined by earlier
-    fixes; they change no expectation and cost no communication.
+    ``group`` is ``("coin", v)`` for the coin of node v, and ``skipped`` is
+    always False; both stay only because the benchmark's trace reads them.
     """
 
     cluster: int
     color: int
     group: Hashable
-    bit_index: int
-    s0: Optional[Fraction]
-    s1: Optional[Fraction]
-    value: Optional[int]
+    s0: Fraction
+    s1: Fraction
+    value: int
     skipped: bool = False
 
 
@@ -63,7 +62,7 @@ class ClusterOutcome:
     """Result of a cluster-ordered derandomization run."""
 
     result: CFDS
-    fixes: List[BitFixRecord]
+    fixes: List[CoinFixRecord]
     simulated_rounds: int
     initial_expectation: Fraction
     charged_rounds: int = 0
@@ -76,16 +75,17 @@ def derandomize_clusterwise(
     decomp: NetworkDecomposition,
     log_expectations: bool = False,
 ) -> ClusterOutcome:
-    """Fix all coin-string bits color by color, then run both phases.
+    """Fix every participating coin color by color, then run both phases.
 
-    Every participating node owns a private b-bit string, fixed
-    most-significant first.  Colors are processed in order; within a color
-    every cluster fixes its members' bits independently (their 2-hop
-    neighborhoods are disjoint, so the iteration order between same-colored
-    clusters is immaterial).  Each aggregated bit costs 2*depth+2 rounds;
-    bits of parallel clusters overlap.  ``simulated_rounds`` and
-    ``round_bound`` are counted by this schedule's formula, not by a
-    simulation.
+    Coins are private and independent, so E = q*E1 + (1-q)*E0 and fixing a
+    coin to its cheaper branch is the method of conditional expectations.
+    Colors are processed in order; within a color every cluster fixes its
+    members' coins independently (their 2-hop neighborhoods are disjoint, so
+    the iteration order between same-colored clusters is immaterial).  Each
+    aggregated coin costs 2*depth+2 rounds; coins of parallel clusters
+    overlap.  ``simulated_rounds`` is counted by this schedule's formula, not
+    by a simulation; every member decides exactly one coin, so
+    ``round_bound`` equals it.
     """
     if decomp.k < 2:
         raise PreconditionError(
@@ -94,8 +94,9 @@ def derandomize_clusterwise(
     validate_decomposition(inst.graph, decomp)
     n = max(inst.ambient_n, 2)
     unit = Fraction(1, n**10)
-    b = iota_for(n)
-    law = IndependentCoinLaw({v: inst.p[v] for v in inst.participating()}, b=b)
+    law = IndependentCoinLaw(
+        {v: inst.p[v] for v in inst.participating()}, b=iota_for(n)
+    )
     initial = expected_output_size(inst, law)
     # per color, each cluster with its participating members, ascending
     by_color: Dict[int, List[Tuple[Cluster, List[int]]]] = {}
@@ -103,69 +104,39 @@ def derandomize_clusterwise(
         members = [v for v in cl.members if v in law.heads]
         if members:
             by_color.setdefault(decomp.color[cl.leader], []).append((cl, members))
-    fixes: List[BitFixRecord] = []
+    fixes: List[CoinFixRecord] = []
     expectation_log: List[Fraction] = []
-    round_bound = 0
     simulated = 0
     for color in sorted(by_color):
         clusters_here = sorted(by_color[color], key=lambda cm: cm[0].leader)
-        color_rounds = 0
         for cl, members in clusters_here:
-            depth = cl.tree.depth()
-            aggregated = 0
             for v in members:
-                group = ("coin", v)
                 affected = inst.graph.closed_neighbors(v)
-                for bit_index in range(b):
-                    if law.resolved_coin(v) is not None:
-                        # the remaining bits change nothing: log them skipped
-                        fixes.extend(
-                            BitFixRecord(
-                                cluster=cl.leader,
-                                color=color,
-                                group=group,
-                                bit_index=rest,
-                                s0=None,
-                                s1=None,
-                                value=None,
-                                skipped=True,
-                            )
-                            for rest in range(bit_index, b)
-                        )
-                        break
-                    saved = law.state(v)
-                    sums = {}
-                    for branch in (0, 1):
-                        law.fix_bit(v, bit_index, branch)
-                        sums[branch] = branch_sum(inst, law, affected, unit)
-                        law.restore(v, saved)
-                    value = 0 if sums[0] < sums[1] else 1
-                    law.fix_bit(v, bit_index, value)
-                    aggregated += 1
-                    if log_expectations:
-                        expectation_log.append(expected_output_size(inst, law))
-                    fixes.append(
-                        BitFixRecord(
-                            cluster=cl.leader,
-                            color=color,
-                            group=group,
-                            bit_index=bit_index,
-                            s0=sums[0],
-                            s1=sums[1],
-                            value=value,
-                        )
+                saved = law.state(v)
+                sums = {}
+                for branch in (0, 1):
+                    law.fix_coin(v, branch)
+                    sums[branch] = branch_sum(inst, law, affected, unit)
+                    law.restore(v, saved)
+                value = 1 if sums[1] < sums[0] else 0
+                law.fix_coin(v, value)
+                if log_expectations:
+                    expectation_log.append(expected_output_size(inst, law))
+                fixes.append(
+                    CoinFixRecord(
+                        cluster=cl.leader,
+                        color=color,
+                        group=("coin", v),
+                        s0=sums[0],
+                        s1=sums[1],
+                        value=value,
                     )
-            color_rounds = max(color_rounds, aggregated * (2 * depth + 2))
-        simulated += color_rounds
-        round_bound += max(
-            (
-                len(members) * b * (2 * cl.tree.depth() + 2)
-                for cl, members in clusters_here
-            ),
-            default=0,
+                )
+        simulated += max(
+            len(members) * (2 * cl.tree.depth() + 2)
+            for cl, members in clusters_here
         )
     simulated += 2  # final phase-1 / phase-2 value exchange
-    round_bound += 2
     result = run_phases(inst, law)
     bad = validate_cfds(inst.graph, result)
     if bad:
@@ -181,7 +152,7 @@ def derandomize_clusterwise(
         initial_expectation=initial,
         charged_rounds=decomp.charged_rounds,
         expectation_log=expectation_log,
-        round_bound=round_bound,
+        round_bound=simulated,
     )
 
 
@@ -210,7 +181,7 @@ def n_one_shot(
     bad = validate_cfds(graph, result)
     if bad:
         raise InvariantViolation(f"one-shot output not dominating at {bad}")
-    return CFDS.fds(dict(result.x)), outcome
+    return CFDS._trusted(dict(result.x), {v: ONE for v in result.x}), outcome
 
 
 def n_factor_two(

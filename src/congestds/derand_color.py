@@ -204,10 +204,11 @@ def delta_one_shot(
     delta_l = max((host.degree(v) for v in range(n)), default=0)
     delta_r = max((host.degree(b) for b in range(n, 2 * n)), default=0)
     outcome.charged_rounds = coloring_round_cost(delta_l, delta_r, n)
+    # the lift of values phase 2 produced: Fractions in [0, 1]
     mapped = {
         v: max(outcome.result.x[v], outcome.result.x[n + v]) for v in range(n)
     }
-    result = CFDS.fds(mapped)
+    result = CFDS._trusted(mapped, {v: ONE for v in range(n)})
     if not result.is_integral():
         raise InvariantViolation("one-shot output is not integral")
     bad = validate_cfds(graph, result)

@@ -2,10 +2,11 @@
 
 Phase 1 scales each node's value to x(v)/p(v) with probability p(v) (else 0);
 phase 2 puts every node whose constraint is still unsatisfied at value 1.
-Both derandomizers drive this process by fixing coins (or coin-string bits)
-one at a time in :class:`IndependentCoinLaw`, which holds every coin's
-state, while the engine here computes exact conditional expectations given
-those fixes by a dynamic program over neighborhood sums.
+Both derandomizers drive this process by fixing coins one at a time in
+:class:`IndependentCoinLaw`, which holds every coin's state, while the
+engine here computes exact conditional expectations given those fixes: in
+closed form where one successful coin covers a node (every one-shot
+instance), and otherwise by a dynamic program over neighborhood sums.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def phase1(inst: RoundingInstance, coins: Dict[int, int]) -> Dict[int, Fraction]
 def phase2(inst: RoundingInstance, X: Dict[int, Fraction]) -> CFDS:
     """Raise every node with an unsatisfied constraint to value 1.
 
-    *X* holds phase-1 values, multiples of 2**-iota; the sums run on their
-    integer units.
+    *X* holds phase-1 values, multiples of 2**-iota in [0, 1]; the sums run
+    on their integer units.
     """
     one = 1 << inst.iota
     units: Dict[int, int] = {}
@@ -143,12 +144,14 @@ def phase2(inst: RoundingInstance, X: Dict[int, Fraction]) -> CFDS:
         if one % val.denominator:
             raise PrecisionError(f"X({v}) = {val} is not a multiple of 2**-{inst.iota}")
         units[v] = val.numerator * (one // val.denominator)
+        if not 0 <= units[v] <= one:
+            raise DomainError(f"X({v}) = {val} outside [0, 1]")
     adj = inst.graph.adj
     z: Dict[int, Fraction] = {}
     for v in range(inst.graph.n):
         total = units[v] + sum(units[u] for u in adj[v])
         z[v] = ONE if total < inst.c_units[v] else X[v]
-    return CFDS(x=z, c=dict(inst.c))
+    return CFDS._trusted(z, dict(inst.c))
 
 
 def _check_fractional(xprime: CFDS, r: int, label: str) -> None:
@@ -223,57 +226,31 @@ def coin_threshold(p: Fraction, b: int) -> int:
 
 
 class IndependentCoinLaw:
-    """Fully independent coins, one private b-bit uniform string per node.
+    """Fully independent coins, one per participating node.
 
-    A node's coin is 1 iff its string, read as a value in [0,1), is below
-    p(v).  Fixing the string's bits most-significant first leaves a coin
-    probability with a closed form, so conditional expectations never need
-    bit enumeration.
-
-    The law also holds what is fixed so far.  ``heads[v] = (good, width)``:
-    coin v is 1 with probability good/width given the fixes.
-    ``prefix[v] = (j, value)``: the leading j bits of v's string read
-    *value*.  Derandomizers fix coins or bits in place and try a branch by
-    saving a node's :meth:`state` and restoring it afterwards.
+    ``heads[v] = (good, width)``: coin v is 1 with probability good/width
+    given what is fixed so far.  Before any fix it is p(v) as a multiple of
+    2**-b; a fixed coin reads (1, 1) or (0, 1).  Derandomizers fix coins in
+    place and try a branch by saving a node's :meth:`state` and restoring it
+    afterwards.
     """
 
     def __init__(self, p: Dict[int, Fraction], b: int):
-        self.b = b
-        self.thresholds = {v: coin_threshold(val, b) for v, val in p.items()}
-        self.heads = {v: (t, 1 << b) for v, t in self.thresholds.items()}
-        self.prefix = {v: (0, 0) for v in p}
+        self.heads = {v: (coin_threshold(val, b), 1 << b) for v, val in p.items()}
 
     def fix_coin(self, v: int, value: int) -> None:
-        """Fix v's coin outright (the color-ordered scheme)."""
+        """Fix v's coin outright."""
         if self.resolved_coin(v) not in (None, value):
             raise DomainError(f"coin of node {v} already fixed differently")
         self.heads[v] = (int(value), 1)
 
-    def fix_bit(self, v: int, index: int, value: int) -> None:
-        """Fix bit *index* of v's string; bits go most-significant first."""
-        j, prefix = self.prefix[v]
-        if index < j:
-            if (prefix >> (j - 1 - index)) & 1 != value:
-                raise DomainError(f"seed bit {index} of node {v} already fixed")
-            return
-        if index != j or j == self.b:
-            raise DomainError(
-                f"seed bits of node {v} must be fixed most-significant first"
-            )
-        prefix = (prefix << 1) | value
-        self.prefix[v] = (j + 1, prefix)
-        rem = self.b - j - 1
-        width = 1 << rem
-        good = min(max(self.thresholds[v] - (prefix << rem), 0), width)
-        self.heads[v] = (good, width)
-
-    def state(self, v: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    def state(self, v: int) -> Tuple[int, int]:
         """v's fixes so far, for :meth:`restore`."""
-        return self.heads[v], self.prefix[v]
+        return self.heads[v]
 
-    def restore(self, v: int, state: Tuple[Tuple[int, int], Tuple[int, int]]) -> None:
+    def restore(self, v: int, state: Tuple[int, int]) -> None:
         """Undo every fix of v made since :meth:`state` returned *state*."""
-        self.heads[v], self.prefix[v] = state
+        self.heads[v] = state
 
     def resolved_coin(self, v: int) -> Optional[int]:
         """The coin of v if the fixes already determine it, else None."""
@@ -368,12 +345,54 @@ def exact_uncover_prob(
 def conditional_expected_value(
     inst: RoundingInstance, law: IndependentCoinLaw, u: int
 ) -> Fraction:
-    """E[Z_u] where Z_u = 1 if u ends phase 1 uncovered, else X_u."""
-    states, denom = _neighborhood_states(inst, law, u)
-    # in units of 2**-iota: an uncovered u counts 1, a covered one X_u
+    """E[Z_u] where Z_u = 1 if u ends phase 1 uncovered, else X_u.
+
+    If every live coin of N[u] reaches c(u) on its own when it succeeds, as
+    in every one-shot instance (p = x makes each ratio 1, and c <= 1), u is
+    uncovered exactly when the resolved base sum falls short and every live
+    coin fails, and E[Z_u] has a closed form in the coins' (good, width).
+    Otherwise the neighborhood DP computes it.
+    """
+    cap = inst.c_units[u]
+    heads = law.heads
+    ratio_units = inst.ratio_units
     one = 1 << inst.iota
+    base = 0
+    # Pr(every live coin fails) = miss / den
+    miss = den = 1
+    for w in inst.graph.closed_neighbors(u):
+        head = heads.get(w)
+        if head is None:
+            base += inst.det_units[w]
+            continue
+        good, width = head
+        if 0 < good < width:
+            if ratio_units[w] < cap:
+                break  # one success may not cover u: take the DP
+            miss *= width - good
+            den *= width
+        elif good:
+            base += ratio_units[w]
+    else:
+        # in units of 2**-iota over den: an uncovered u counts 1, a covered
+        # one X_u
+        uncovered = miss if base < cap else 0
+        head = heads.get(u)
+        if head is not None and 0 < head[0] < head[1]:
+            # a live u is covered whenever its own coin succeeds
+            good, width = head
+            return Fraction(
+                uncovered * one + good * ratio_units[u] * (den // width),
+                den * one,
+            )
+        if head is None:
+            xu = inst.det_units[u]
+        else:
+            xu = ratio_units[u] if head[0] else 0
+        return Fraction(uncovered * one + (den - uncovered) * xu, den * one)
+    states, denom = _neighborhood_states(inst, law, u)
     fallback = inst.det_units[u]
-    ratio = inst.ratio_units[u]
+    ratio = ratio_units[u]
     total = 0
     for (cc, s), num in states.items():
         if s is not SAT:
@@ -393,8 +412,8 @@ def branch_sum(
     """Sum of E[Z_u] over *nodes*, each rounded up to a multiple of *unit*.
 
     This is the quantity the derandomizers compare between the two branches
-    of a coin or coin-string bit.  The ceilings are integer floor divisions;
-    one Fraction is built for the sum.
+    of a coin.  The ceilings are integer floor divisions; one Fraction is
+    built for the sum.
     """
     scale, step = unit.denominator, unit.numerator
     total = 0

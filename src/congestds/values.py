@@ -106,6 +106,15 @@ class CFDS:
         return cls(x=dict(x), c={v: ONE for v in x})
 
     @classmethod
+    def _trusted(cls, x: Dict[int, Fraction], c: Dict[int, Fraction]) -> "CFDS":
+        """A CFDS over values the caller has just checked: Fractions in
+        [0, 1] on one node set.  It skips ``__post_init__``'s re-wrapping and
+        range checks; callers with unchecked values use the constructor."""
+        d = cls.__new__(cls)
+        d.x, d.c = x, c
+        return d
+
+    @classmethod
     def from_set(cls, nodes: Iterable[int], chosen: Iterable[int]) -> "CFDS":
         chosen = set(chosen)
         return cls.fds({v: (ONE if v in chosen else ZERO) for v in nodes})

@@ -7,30 +7,22 @@ from congestds.errors import DomainError, PrecisionError
 from congestds.rounding import IndependentCoinLaw, coin_threshold
 
 
-def fix_string(law, v, value, b):
-    """Pin all b bits of node v's coin string to *value*, most-significant first."""
-    for i in range(b):
-        law.fix_bit(v, i, (value >> (b - 1 - i)) & 1)
-
-
 class TestDrawCoin:
     def test_p_one_always_heads(self):
         law = IndependentCoinLaw({0: Fraction(0), 1: Fraction(1)}, b=4)
         assert law.resolved_coin(1) == 1
-        fresh = law.state(1)
-        for value in range(16):
-            fix_string(law, 1, value, 4)
-            assert law.resolved_coin(1) == 1
-            law.restore(1, fresh)
+        law.fix_coin(1, 1)  # agreeing with the resolved coin changes nothing
+        assert law.resolved_coin(1) == 1
+        with pytest.raises(DomainError):
+            law.fix_coin(1, 0)
 
     def test_p_zero_always_tails(self):
         law = IndependentCoinLaw({0: Fraction(1), 2: Fraction(0)}, b=4)
         assert law.resolved_coin(2) == 0
-        fresh = law.state(2)
-        for value in range(16):
-            fix_string(law, 2, value, 4)
-            assert law.resolved_coin(2) == 0
-            law.restore(2, fresh)
+        law.fix_coin(2, 0)
+        assert law.resolved_coin(2) == 0
+        with pytest.raises(DomainError):
+            law.fix_coin(2, 1)
 
     def test_unrepresentable_probability(self):
         with pytest.raises(PrecisionError):
@@ -43,34 +35,34 @@ class TestDrawCoin:
         assert coin_threshold(Fraction(3, 16), 4) == 3
 
     def test_pairwise_independence_exhaustive(self):
-        # b=4: over all 2^8 joint strings of any two nodes, each coin is
-        # heads with its own probability and every pair has product-form joints
+        # fixing one coin leaves every other coin's probability alone, so
+        # every pair has product-form joints
         p = {v: Fraction(v + 1, 16) for v in range(6)}
         for u, v in itertools.combinations(range(6), 2):
-            outcomes = []
-            for su, sv in itertools.product(range(16), repeat=2):
-                law = IndependentCoinLaw(p, b=4)
-                fix_string(law, u, su, 4)
-                fix_string(law, v, sv, 4)
-                outcomes.append((law.resolved_coin(u), law.resolved_coin(v)))
-            total = len(outcomes)
+            total = Fraction(0)
             for cu, cv in itertools.product((0, 1), repeat=2):
-                count = sum(1 for o in outcomes if o == (cu, cv))
+                law = IndependentCoinLaw(p, b=4)
+                qu = Fraction(*law.heads[u])
+                law.fix_coin(u, cu)
+                qv = Fraction(*law.heads[v])
+                law.fix_coin(v, cv)
+                assert (law.resolved_coin(u), law.resolved_coin(v)) == (cu, cv)
+                joint = (qu if cu else 1 - qu) * (qv if cv else 1 - qv)
                 pu = p[u] if cu else 1 - p[u]
                 pv = p[v] if cv else 1 - p[v]
-                assert Fraction(count, total) == pu * pv
+                assert joint == pu * pv
+                total += joint
+            assert total == 1
 
-    def test_seed_length_checked(self):
+    def test_contradicting_fix_rejected(self):
         law = IndependentCoinLaw({0: Fraction(1, 2)}, b=4)
-        # out of order: bit 1 before bit 0
+        fresh = law.state(0)
+        assert law.resolved_coin(0) is None
+        law.fix_coin(0, 1)
+        law.fix_coin(0, 1)  # the same value again is no change
         with pytest.raises(DomainError):
-            law.fix_bit(0, 1, 1)
-        law.fix_bit(0, 0, 0)
-        law.fix_bit(0, 1, 1)
-        law.fix_bit(0, 1, 1)  # the same value again is no change
-        with pytest.raises(DomainError):
-            law.fix_bit(0, 1, 0)
-        fix_string(law, 0, 0b0110, 4)
-        # past the string's last bit
-        with pytest.raises(DomainError):
-            law.fix_bit(0, 4, 0)
+            law.fix_coin(0, 0)
+        law.restore(0, fresh)
+        assert law.heads[0] == (8, 16)
+        law.fix_coin(0, 0)
+        assert law.final_coins() == {0: 0}

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,47 @@ from congestds.graph import Graph
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def within(graph, a, b, k):
+    """The pairwise definition: some member of a is at most k hops from some
+    member of b."""
+    return any(graph.distance(u, v) <= k for u in a.members for v in b.members)
+
+
+def pairwise_colors(graph, clusters, k):
+    """Greedy coloring, in cluster order, of the pairwise conflict graph."""
+    color = {}
+    for cl in clusters:
+        used = {color[o.leader] for o in clusters
+                if o.leader in color and within(graph, cl, o, k)}
+        c = 1
+        while c in used:
+            c += 1
+        color[cl.leader] = c
+    return color
+
+
+def pairwise_violation(graph, nd):
+    """The message of the first same-colored pair within k hops, scanning
+    colors in order of first appearance and pairs in cluster order."""
+    by_color = {}
+    for cl in nd.clusters:
+        by_color.setdefault(nd.color[cl.leader], []).append(cl)
+    for cls in by_color.values():
+        for a, b in itertools.combinations(cls, 2):
+            if within(graph, a, b, nd.k):
+                return (f"same-colored clusters {a.leader} and {b.leader} "
+                        f"are within {nd.k} hops")
+    return None
+
+
+def sparse_graphs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 40)
+        yield Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                        if rng.random() < 2.5 / n])
 
 
 class TestSingleCluster:
@@ -86,7 +130,47 @@ class TestComputeDecomposition:
         validate_decomposition(g, nd)
 
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_colors_match_pairwise_definition(self, k):
+        for g in sparse_graphs(f"decomp-colors:{k}", 40):
+            nd = compute_decomposition(g, k)
+            assert nd.color == pairwise_colors(g, nd.clusters, k)
+
+
 class TestValidation:
+    def test_first_violation_matches_pairwise_scan(self):
+        # every cluster of the path 0-7 takes color 1; listed out of path
+        # order, cluster 0's first later neighbor within 2 hops is cluster 2
+        g = path(8)
+        clusters = [
+            Cluster(leader=a, members=[a, a + 1],
+                    tree=ClusterTree(root=a, parent={a + 1: a}))
+            for a in (0, 6, 2, 4)
+        ]
+        nd = NetworkDecomposition(
+            clusters=clusters, color={a: 1 for a in (0, 6, 2, 4)}, k=2, d=1
+        )
+        want = pairwise_violation(g, nd)
+        assert want == "same-colored clusters 0 and 2 are within 2 hops"
+        with pytest.raises(StructuralError, match=want):
+            validate_decomposition(g, nd)
+
+    def test_recolored_decompositions_match_pairwise_scan(self):
+        checked = 0
+        for g in sparse_graphs("decomp-validate", 60):
+            nd = compute_decomposition(g, 2)
+            rng = random.Random(g.n)
+            nd.color = {cl.leader: rng.randint(1, 2) for cl in nd.clusters}
+            want = pairwise_violation(g, nd)
+            if want is None:
+                validate_decomposition(g, nd)
+                continue
+            checked += 1
+            with pytest.raises(StructuralError) as err:
+                validate_decomposition(g, nd)
+            assert str(err.value) == want
+        assert checked > 10
+
     def test_overlap_detected(self):
         g = Graph(2, [(0, 1)])
         t0 = ClusterTree(root=0, parent={1: 0})

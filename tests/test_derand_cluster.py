@@ -61,16 +61,32 @@ class TestDerandomizeClusterwise:
         )
         assert cluster.result.size == colorw.result.size
 
-    def test_skipped_bits_recorded(self):
-        g = Graph(2, [(0, 1)])
-        inst = fractional_instance(g, {0: HALF, 1: HALF})
-        out = derandomize_clusterwise(inst, single_cluster_decomposition(g))
-        # p = 1/2 resolves after the first string bit; the rest are skipped
-        assert any(f.skipped for f in out.fixes)
-        decided = [f for f in out.fixes if not f.skipped]
-        assert len(decided) == 2
-        for f in decided:
-            assert f.value == (0 if f.s0 < f.s1 else 1)
+    def test_one_record_per_coin(self):
+        g = cycle(6)
+        inst = fractional_instance(g, {v: Fraction(3, 8) for v in range(6)})
+        out = derandomize_clusterwise(inst, compute_decomposition(g, 2))
+        assert sorted(f.group for f in out.fixes) == [("coin", v) for v in range(6)]
+        for f in out.fixes:
+            assert not f.skipped
+            assert f.value == (1 if f.s1 < f.s0 else 0)
+
+    def test_simulated_rounds_per_coin(self):
+        # each color costs its busiest cluster 2*depth+2 rounds per member
+        # coin, plus 2 for the final value exchange
+        g = Graph(20, [(i, i + 1) for i in range(19)])
+        inst = fractional_instance(g, {v: Fraction(3, 8) for v in range(20)})
+        nd = compute_decomposition(g, 2)
+        out = derandomize_clusterwise(inst, nd)
+        per_color = {}
+        for cl in nd.clusters:
+            cost = len(cl.members) * (2 * cl.tree.depth() + 2)
+            color = nd.color[cl.leader]
+            per_color[color] = max(per_color.get(color, 0), cost)
+        assert out.simulated_rounds == sum(per_color.values()) + 2
+        # clusters 0-5 and 12-17 share color 1, 6-11 and 18-19 color 2; the
+        # 6-node clusters have depth 5
+        assert out.simulated_rounds == 6 * 12 + 6 * 12 + 2
+        assert out.round_bound == out.simulated_rounds
 
     def test_round_bound_covers_simulated(self):
         g = cycle(6)

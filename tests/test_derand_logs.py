@@ -65,8 +65,7 @@ def decision_rows(decisions):
 
 def fix_rows(fixes):
     return [
-        (f.cluster, f.color, f.group, f.bit_index, str(f.s0), str(f.s1),
-         f.value, f.skipped)
+        (f.cluster, f.color, f.group, str(f.s0), str(f.s1), f.value, f.skipped)
         for f in fixes
     ]
 
@@ -79,10 +78,10 @@ COLORWISE = {
 }
 
 CLUSTERWISE = {
-    "petersen-one-shot": "c04e10b48a3be438f4a8bf6f946b0d451d01f4d06c76c67a16af566cd1922974",
-    "petersen-skewed": "c2b7e29a6d55109d401c617386b9b5945a02b2d8401070e3bb110984d1bfbad3",
-    "grid4x4-one-shot": "36fb0abb0ca769d65b7968ea8c994ca9aa3c40e22a32d0450e1c4ec9d9a06a19",
-    "grid4x4-skewed": "19b0a2e844af28a41b4708c4a4a19cde8fd8c09313e59fdeb36768e325022d6c",
+    "petersen-one-shot": "3f8657030884fd220c90a547127fc6b0b099e4165c08eda1588fabfa970b6bc7",
+    "petersen-skewed": "f650456c7f7e92c7909cfd311b8b587e9a4546a4dd63cdebbb38841a1c732610",
+    "grid4x4-one-shot": "691056e43396babfd460d6086113f301c7c04844b7dc8f1447164df59a317069",
+    "grid4x4-skewed": "0a01a0119f03d9acae5d6043c5236083169ae577802045e466dd0060d3c6ee96",
 }
 
 DELTA_ONE_SHOT = "85f38f8768c9a868c97567813f6c9d8f5842bcddd738ae8faa37685d486233ca"

@@ -158,6 +158,12 @@ class TestPhases:
         with pytest.raises(PrecisionError, match=r"^X\(1\) = 1/3 is not"):
             phase2(inst, {0: HALF, 1: Fraction(1, 3)})
 
+    def test_phase2_rejects_values_outside_unit_range(self):
+        # phase 2 builds its output without re-checking it, so it checks X
+        inst = k2_half()
+        with pytest.raises(DomainError, match=r"^X\(0\) = 2 outside"):
+            phase2(inst, {0: Fraction(2), 1: HALF})
+
     def test_output_always_valid(self):
         inst = k2_half()
         for coins in itertools.product((0, 1), repeat=2):
@@ -321,12 +327,10 @@ class TestExactExpectations:
             assert conditional_expected_value(inst, law, v) == expect[v]
             assert exact_uncover_prob(inst, law, v) == uncover[v]
 
-    @pytest.mark.parametrize("fix", ["coin", "bit"])
-    def test_branch_sum_equals_fraction_ceilings(self, fix):
+    def test_branch_sum_equals_fraction_ceilings(self):
         """branch_sum equals the sum over the nodes of ceil(alpha * n^10) /
-        n^10 under random partial laws: coins fixed outright (color-ordered)
-        or string bits fixed most-significant first (cluster-ordered)."""
-        rng = random.Random(f"branch-sum:{fix}")
+        n^10 under random partial laws."""
+        rng = random.Random("branch-sum:coin")
         for _ in range(60):
             n = rng.randint(2, 9)
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -340,11 +344,7 @@ class TestExactExpectations:
             S = inst.participating()
             law = IndependentCoinLaw({v: inst.p[v] for v in S}, b=b)
             for v in rng.sample(S, rng.randint(0, len(S))):
-                if fix == "coin":
-                    law.fix_coin(v, rng.randint(0, 1))
-                else:
-                    for index in range(rng.randint(1, 6)):
-                        law.fix_bit(v, index, rng.randint(0, 1))
+                law.fix_coin(v, rng.randint(0, 1))
             unit = Fraction(1, width**10)
             nodes = rng.sample(range(n), rng.randint(1, n))
             want = Fraction(0)
@@ -357,15 +357,6 @@ class TestExactExpectations:
                 Fraction(0),
             )
             assert expected_output_size(inst, law) == total
-
-    def test_prefix_bits_refine_marginal(self):
-        law = IndependentCoinLaw({0: Fraction(5, 16)}, b=4)
-        assert Fraction(*law.heads[0]) == Fraction(5, 16)
-        law.fix_bit(0, 0, 0)  # string in [0, 1/2)
-        assert Fraction(*law.heads[0]) == Fraction(5, 8)
-        law.fix_bit(0, 1, 1)  # string in [1/4, 1/2): all >= 5/16? no
-        assert Fraction(*law.heads[0]) == Fraction(1, 4)
-        assert law.prefix[0] == (2, 0b01)
 
     def test_budget_enforced(self, monkeypatch):
         # star around node 0; the leaves' coins have p = 1/2 and distinct
@@ -387,3 +378,160 @@ class TestExactExpectations:
         # 16 states fit in a limit of 2**4
         monkeypatch.setattr(rounding, "MAX_DP_STATES", 1 << 4)
         assert exact_uncover_prob(inst, law, 0) == 1
+
+
+def dp_expected_value(inst, law, u):
+    """E[Z_u] read off the neighborhood DP's joint law, the reference that
+    the closed form must match."""
+    states, denom = rounding._neighborhood_states(inst, law, u)
+    total = Fraction(0)
+    for (cc, s), num in states.items():
+        if s is not rounding.SAT:
+            xu = Fraction(1)
+        elif cc is None:
+            xu = inst.deterministic_value(u)
+        else:
+            xu = inst.ratio(u) if cc else Fraction(0)
+        total += Fraction(num, denom) * xu
+    return total
+
+
+def random_law(rng, inst):
+    """A law over the participating coins with each coin left at p, fixed
+    either way, or live at an arbitrary (good, width)."""
+    S = inst.participating()
+    law = IndependentCoinLaw(
+        {v: inst.p[v] for v in S}, b=iota_for(max(inst.ambient_n, 2))
+    )
+    for v in S:
+        kind = rng.randrange(4)
+        if kind == 1:
+            law.fix_coin(v, rng.randint(0, 1))
+        elif kind == 2:
+            width = rng.randint(2, 40)
+            law.heads[v] = (rng.randint(1, width - 1), width)
+    return law
+
+
+def random_fds(rng, n):
+    """Values with zeros and values that scale past 1 (so p in {0, 1})."""
+    return CFDS.fds({
+        v: Fraction(rng.choice([0, 1, 1, 2, 3, 5, 8, 16]), 16) for v in range(n)
+    })
+
+
+def random_graph(rng, n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.4])
+
+
+def delta_host(graph, xprime):
+    """The bipartite host of the color-ordered one-shot step: constraint
+    copies 0..n-1 with c = 1 and no coin, value copies n..2n-1 with c = 0."""
+    n = graph.n
+    host = Graph(2 * n, [(v, n + u) for v in range(n)
+                         for u in graph.closed_neighbors(v)])
+    scaled, _ = scale_values(xprime, ln_upper(graph.delta_tilde), 2 * n)
+    zero = {b: Fraction(0) for b in range(2 * n)}
+    x, p, c = dict(zero), dict(zero), dict(zero)
+    for v in range(n):
+        x[n + v] = p[n + v] = scaled[v]
+        c[v] = Fraction(1)
+    return RoundingInstance(graph=host, x=x, p=p, c=c, ambient_n=2 * n)
+
+
+def skewed_instance(rng, graph):
+    """Coins with ratio x/p below 1, c below 1 on some nodes, p in {0, 1}
+    on others."""
+    x, p, c = {}, {}, {}
+    for v in range(graph.n):
+        pv = Fraction(rng.choice([0, 4, 8, 12, 16, 16]), 16)
+        x[v] = min(pv, Fraction(rng.randint(0, 16), 16))
+        p[v] = pv
+        c[v] = Fraction(rng.choice([4, 8, 12, 16]), 16)
+    return RoundingInstance(graph=graph, x=x, p=p, c=c)
+
+
+class TestClosedForm:
+    """conditional_expected_value takes a closed form whenever one success
+    covers the node; it must equal the DP wherever it applies, and the DP
+    must still serve every other node."""
+
+    @staticmethod
+    def counting_dp(monkeypatch):
+        calls = []
+        dp = rounding._neighborhood_states
+
+        def counted(inst, law, center):
+            calls.append(center)
+            return dp(inst, law, center)
+
+        monkeypatch.setattr(rounding, "_neighborhood_states", counted)
+        return calls
+
+    def instances(self, kind):
+        rng = random.Random(f"closed-form:{kind}")
+        found = 0
+        while found < 40:
+            g = random_graph(rng, rng.randint(2, 9))
+            if g.delta_tilde < 2:
+                continue
+            found += 1
+            xprime = random_fds(rng, g.n)
+            if kind == "one-shot":
+                inst = one_shot_instance(g, xprime)
+            elif kind == "delta-host":
+                inst = delta_host(g, xprime)
+            else:
+                inst = skewed_instance(rng, g)
+            yield inst, random_law(rng, inst)
+
+    @pytest.mark.parametrize("kind", ["one-shot", "delta-host"])
+    def test_matches_dp_without_calling_it(self, kind, monkeypatch):
+        for inst, law in self.instances(kind):
+            want = [dp_expected_value(inst, law, u) for u in range(inst.graph.n)]
+            calls = self.counting_dp(monkeypatch)
+            got = [conditional_expected_value(inst, law, u)
+                   for u in range(inst.graph.n)]
+            monkeypatch.undo()
+            assert got == want
+            assert calls == []
+
+    def test_ratio_below_constraint_falls_back(self, monkeypatch):
+        fell_back = 0
+        for inst, law in self.instances("skewed"):
+            want = [dp_expected_value(inst, law, u) for u in range(inst.graph.n)]
+            calls = self.counting_dp(monkeypatch)
+            got = [conditional_expected_value(inst, law, u)
+                   for u in range(inst.graph.n)]
+            monkeypatch.undo()
+            assert got == want
+            # exactly the nodes with a live coin whose ratio is below c(u)
+            need = [
+                u for u in range(inst.graph.n)
+                if any(
+                    w in law.heads and law.resolved_coin(w) is None
+                    and inst.ratio_units[w] < inst.c_units[u]
+                    for w in inst.graph.closed_neighbors(u)
+                )
+            ]
+            assert calls == need
+            fell_back += len(calls)
+        assert fell_back > 0
+
+    def test_one_shot_expectation_never_takes_the_dp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the DP ran on a one-shot instance")
+
+        rng = random.Random("closed-form:no-dp")
+        g = random_graph(rng, 12)
+        inst = one_shot_instance(g, random_fds(rng, 12))
+        law = IndependentCoinLaw(
+            {v: inst.p[v] for v in inst.participating()}, b=inst.iota
+        )
+        want = sum(
+            (dp_expected_value(inst, law, u) for u in range(g.n)), Fraction(0)
+        )
+        monkeypatch.setattr(rounding, "_neighborhood_states", refuse)
+        assert expected_output_size(inst, law) == want
+

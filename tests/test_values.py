@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from congestds.derand_cluster import n_one_shot
+from congestds.derand_color import delta_one_shot
 from congestds.errors import DomainError
 from congestds import values
 from congestds.graph import Graph
@@ -98,6 +100,21 @@ class TestCFDS:
         assert d.x == {0: Fraction(1), 1: Fraction(1, 3)}
         assert d.c == {0: Fraction(1, 2), 1: Fraction(1)}
         assert all(type(val) is Fraction for val in [*d.x.values(), *d.c.values()])
+
+    def test_trusted_outputs_equal_checked_ones(self):
+        # the one-shot stages build their outputs without the constructor's
+        # checks; each must equal what the checking constructor makes
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+        xp = CFDS.fds({v: Fraction(1, 3) for v in range(6)})
+        outs = []
+        for stage in (n_one_shot, delta_one_shot):
+            result, outcome = stage(g, xp, 3)
+            outs += [result, outcome.result]
+        for d in outs:
+            assert d == CFDS(x=dict(d.x), c=dict(d.c))
+            assert all(
+                type(val) is Fraction for val in [*d.x.values(), *d.c.values()]
+            )
 
     @pytest.mark.parametrize("dyadic", [True, False])
     def test_validate_matches_fraction_sums(self, dyadic):
