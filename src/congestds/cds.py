@@ -90,6 +90,27 @@ class CdsClustering:
         return sorted(out)
 
 
+def _join(
+    graph: Graph,
+    candidates: Sequence[int],
+    anchors: Set[int],
+    cluster: Dict[int, int],
+    parent: Dict[int, int],
+) -> List[int]:
+    """Each unclustered candidate next to an anchor joins the cluster of its
+    lowest-id anchor.  Returns the joiners in *candidates* order."""
+    joined: List[int] = []
+    for w in candidates:
+        if w in cluster:
+            continue
+        a = next((u for u in graph.adj[w] if u in anchors), None)
+        if a is not None:
+            cluster[w] = cluster[a]
+            parent[w] = a
+            joined.append(w)
+    return joined
+
+
 def bfs_clustering(
     graph: Graph, S: Sequence[int], centers: Sequence[int]
 ) -> CdsClustering:
@@ -110,6 +131,7 @@ def bfs_clustering(
         raise PreconditionError("at least one center required")
     cluster: Dict[int, int] = {c: c for c in centers}
     parent: Dict[int, int] = {}
+    non_s = [w for w in range(graph.n) if w not in s_set]
     last_phase_s: List[int] = list(centers)
     phases = 0
     while s_set - set(cluster):
@@ -120,50 +142,20 @@ def bfs_clustering(
             )
         # round 1: non-S neighbors of last phase's S joiners
         last_set = set(last_phase_s)
-        round1: List[int] = []
-        for w in range(graph.n):
-            if w in cluster or w in s_set:
-                continue
-            anchors = [u for u in graph.adj[w] if u in last_set]
-            if anchors:
-                a = min(anchors)
-                cluster[w] = cluster[a]
-                parent[w] = a
-                round1.append(w)
+        round1 = _join(graph, non_s, last_set, cluster, parent)
         # round 2: non-S neighbors of round-1 joiners
         round1_set = set(round1)
-        round2: List[int] = []
-        for w in range(graph.n):
-            if w in cluster or w in s_set:
-                continue
-            anchors = [u for u in graph.adj[w] if u in round1_set]
-            if anchors:
-                a = min(anchors)
-                cluster[w] = cluster[a]
-                parent[w] = a
-                round2.append(w)
+        round2 = _join(graph, non_s, round1_set, cluster, parent)
         # round 3: S-nodes adjacent to anything newly clustered (this phase's
         # joiners or last phase's S joiners)
         fresh = round1_set | set(round2) | last_set
-        new_s: List[int] = []
-        for u in S:
-            if u in cluster:
-                continue
-            anchors = [w for w in graph.adj[u] if w in fresh]
-            if anchors:
-                a = min(anchors)
-                cluster[u] = cluster[a]
-                parent[u] = a
-                new_s.append(u)
+        new_s = _join(graph, S, fresh, cluster, parent)
         if not (round1 or round2 or new_s):
             raise StructuralError(
                 "clustering stalled with unclustered S-nodes; G is disconnected"
             )
         last_phase_s = new_s
     # prune: drop non-S nodes without S-descendants, then unused branches
-    children: Dict[int, List[int]] = {}
-    for v, u in parent.items():
-        children.setdefault(u, []).append(v)
     keep: Set[int] = set(centers) | (s_set & set(cluster))
     # walk up from every S-node, keeping the whole path to its center
     for u in s_set & set(cluster):

@@ -15,7 +15,7 @@ from .errors import (
     StructuralError,
 )
 from .graph import format_graph, load_graph
-from .oracles import brute_force_cds, brute_force_mds
+from .oracles import CDS_CAP, brute_force_cds, brute_force_mds
 from .cds import is_dominating
 from .generators import generate_graph
 from .pipeline import (
@@ -112,7 +112,7 @@ def _cmd_oracle(args) -> int:
     if args.kind == "mds":
         size, witness = brute_force_mds(graph, cap=args.opt_cap)
     else:
-        size, witness = brute_force_cds(graph, cap=min(args.opt_cap, 20))
+        size, witness = brute_force_cds(graph, cap=min(args.opt_cap, CDS_CAP))
     obj = {"kind": args.kind, "size": size, "witness": witness}
     if args.report == "json":
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))

@@ -10,7 +10,7 @@ number of communication rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -23,24 +23,8 @@ from .bipartite import (
 )
 from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
-from .rounding import (
-    IndependentCoinLaw,
-    RoundingInstance,
-    _check_fractional,
-    branch_sum,
-    expected_output_size,
-    run_phases,
-    scale_values,
-)
-from .values import (
-    CFDS,
-    ONE,
-    ZERO,
-    fractionality,
-    iota_for,
-    ln_upper,
-    validate_cfds,
-)
+from .rounding import RoundingInstance, _check_stage, derandomize, scale_values
+from .values import CFDS, ONE, ZERO, fractionality, ln_upper, validate_cfds
 
 
 @dataclass
@@ -62,71 +46,37 @@ class DerandOutcome:
     decisions: List[DecisionRecord]
     simulated_rounds: int
     initial_expectation: Fraction
-    expectation_log: List[Fraction] = field(default_factory=list)
     charged_rounds: int = 0
 
 
 def derandomize_colorwise(
-    inst: RoundingInstance,
-    coloring: Coloring,
-    log_expectations: bool = False,
+    inst: RoundingInstance, coloring: Coloring
 ) -> DerandOutcome:
-    """Fix every undetermined coin by conditional expectations, color by color.
+    """Fix every undetermined coin by :func:`derandomize`, color by color.
 
     The coloring must cover exactly S = {v : p(v) not in {0, 1}} and be a
     proper distance-2 coloring in the host graph.  Per color class the run
     costs 3 rounds (exchange fixed coins, branch expectations, decisions);
     ``simulated_rounds`` is counted by this schedule's formula, 3 per class,
-    not by a simulation.  The output size is checked against the exact
-    initial expectation plus the quantization slack 1/n^7.
+    not by a simulation.
     """
-    S = inst.participating()
-    if set(coloring.color) != set(S):
+    if set(coloring.color) != set(inst.participating()):
         raise PreconditionError(
             "coloring must cover exactly the nodes with fractional p"
         )
     if coloring_violations(inst.graph, coloring):
         raise PreconditionError("coloring is not a proper distance-2 coloring")
-    n = max(inst.ambient_n, 2)
-    law = IndependentCoinLaw(
-        {v: inst.p[v] for v in S}, b=iota_for(n)
+    result, decisions, initial = derandomize(
+        inst, [v for members in coloring.classes() for v in members]
     )
-    unit = Fraction(1, n**10)
-    initial = expected_output_size(inst, law)
-    decisions: List[DecisionRecord] = []
-    expectation_log: List[Fraction] = []
-    for color_idx, members in enumerate(coloring.classes(), start=1):
-        for v in members:
-            affected = inst.graph.closed_neighbors(v)
-            saved = law.state(v)
-            sums = {}
-            for branch in (0, 1):
-                law.fix_coin(v, branch)
-                sums[branch] = branch_sum(inst, law, affected, unit)
-                law.restore(v, saved)
-            coin = 1 if sums[1] < sums[0] else 0
-            law.fix_coin(v, coin)
-            decisions.append(
-                DecisionRecord(
-                    node=v, color=color_idx, a0=sums[0], a1=sums[1], coin=coin
-                )
-            )
-            if log_expectations:
-                expectation_log.append(expected_output_size(inst, law))
-    result = run_phases(inst, law)
-    bad = validate_cfds(inst.graph, result)
-    if bad:
-        raise InvariantViolation(f"derandomized output violates constraints at {bad}")
-    if result.size > initial + Fraction(1, n**7):
-        raise InvariantViolation(
-            f"output size {result.size} exceeds expectation {initial} + 1/n^7"
-        )
     return DerandOutcome(
         result=result,
-        decisions=decisions,
+        decisions=[
+            DecisionRecord(node=v, color=coloring.color[v], a0=s0, a1=s1, coin=coin)
+            for v, s0, s1, coin in decisions
+        ],
         simulated_rounds=3 * coloring.num_colors,
         initial_expectation=initial,
-        expectation_log=expectation_log,
     )
 
 
@@ -177,10 +127,8 @@ def delta_one_shot(
     instance derandomized color by color; mapping each original node to the
     maximum over its copies yields an integral dominating set.
     """
-    _check_fractional(xprime, F, "one-shot")
+    _check_stage(graph, xprime, F, "one-shot")
     dt = graph.delta_tilde
-    if dt < 2:
-        raise PreconditionError("one-shot rounding needs at least one edge")
     n = graph.n
     covering = _covering_sets(graph, xprime, F)
     edges = [(v, n + u) for v in range(n) for u in covering[v]]
@@ -234,10 +182,8 @@ def delta_factor_two(
     eps = Fraction(eps)
     if eps <= 0 or eps > 1:
         raise PreconditionError(f"eps must be in (0, 1], got {eps}")
-    _check_fractional(xprime, r, "factor-two")
+    _check_stage(graph, xprime, r, "factor-two")
     dt = graph.delta_tilde
-    if dt < 2:
-        raise PreconditionError("factor-two rounding needs at least one edge")
     ln_dt = ln_upper(dt)
     if Fraction(r) < 256 * eps**-3 * ln_dt:
         raise PreconditionError(

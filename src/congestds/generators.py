@@ -8,6 +8,9 @@ from typing import Dict, Optional
 from .errors import DomainError
 from .graph import Graph
 
+#: rejection-sampling attempts before gnp_connected gives up
+GNP_MAX_TRIES = 10000
+
 
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
@@ -30,14 +33,14 @@ def grid(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
-def gnp_connected(n: int, p: float, seed: int, max_tries: int = 10000) -> Graph:
+def gnp_connected(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi graph conditioned on connectivity by rejection sampling."""
     if n < 1:
         raise DomainError("gnp needs n >= 1")
     if not 0 <= p <= 1:
         raise DomainError(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(GNP_MAX_TRIES):
         edges = [
             (u, v)
             for u in range(n)
@@ -48,7 +51,7 @@ def gnp_connected(n: int, p: float, seed: int, max_tries: int = 10000) -> Graph:
         if g.is_connected():
             return g
     raise DomainError(
-        f"no connected G({n}, {p}) sample within {max_tries} tries (p too small?)"
+        f"no connected G({n}, {p}) sample within {GNP_MAX_TRIES} tries (p too small?)"
     )
 
 

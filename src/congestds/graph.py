@@ -102,17 +102,6 @@ class Graph:
             return True
         return len(self.bfs_distances(0)) == self.n
 
-    def connected_components(self) -> List[List[int]]:
-        seen: Set[int] = set()
-        comps = []
-        for s in range(self.n):
-            if s in seen:
-                continue
-            comp = sorted(self.bfs_distances(s))
-            seen.update(comp)
-            comps.append(comp)
-        return comps
-
     def subgraph_is_connected(self, nodes: Sequence[int]) -> bool:
         """Connectivity of the induced subgraph on *nodes*."""
         node_set = set(nodes)

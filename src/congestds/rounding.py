@@ -2,11 +2,13 @@
 
 Phase 1 scales each node's value to x(v)/p(v) with probability p(v) (else 0);
 phase 2 puts every node whose constraint is still unsatisfied at value 1.
-Both derandomizers drive this process by fixing coins one at a time in
-:class:`IndependentCoinLaw`, which holds every coin's state, while the
-engine here computes exact conditional expectations given those fixes: in
-closed form where one successful coin covers a node (every one-shot
-instance), and otherwise by a dynamic program over neighborhood sums.
+:func:`derandomize` fixes the coins one at a time, by the method of
+conditional expectations, in the order a derandomizer gives; the two
+derandomizers differ only in that order and its round cost.
+:class:`IndependentCoinLaw` holds every coin's state, and the engine here
+computes exact conditional expectations given its fixes: in closed form
+where one successful coin covers a node (every one-shot instance), and
+otherwise by a dynamic program over neighborhood sums.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .errors import (
     DomainError,
     EnumerationBudgetError,
+    InvariantViolation,
     PrecisionError,
     PreconditionError,
 )
@@ -30,6 +33,7 @@ from .values import (
     fraction_sum,
     iota_for,
     ln_upper,
+    validate_cfds,
 )
 
 #: sentinel for neighborhood sums that already reached the constraint
@@ -154,13 +158,16 @@ def phase2(inst: RoundingInstance, X: Dict[int, Fraction]) -> CFDS:
     return CFDS._trusted(z, dict(inst.c))
 
 
-def _check_fractional(xprime: CFDS, r: int, label: str) -> None:
-    """PreconditionError unless every positive value of x' is at least 1/r."""
+def _check_stage(graph: Graph, xprime: CFDS, r: int, label: str) -> None:
+    """PreconditionError unless every positive value of x' is at least 1/r
+    and *graph* has an edge: what every rounding stage needs of its input."""
     for v, val in xprime.x.items():
         if val > 0 and val < Fraction(1, r):
             raise PreconditionError(
                 f"{label}: x'({v}) = {val} below the required fractionality 1/{r}"
             )
+    if graph.delta_tilde < 2:
+        raise PreconditionError(f"{label} rounding needs at least one edge")
 
 
 def scale_values(
@@ -435,3 +442,58 @@ def expected_output_size(inst: RoundingInstance, law: IndependentCoinLaw) -> Fra
 def run_phases(inst: RoundingInstance, law: IndependentCoinLaw) -> CFDS:
     """Phase 1 with fully determined coins, then phase 2."""
     return phase2(inst, phase1(inst, law.final_coins()))
+
+
+def derandomize(
+    inst: RoundingInstance, order: Sequence[int]
+) -> Tuple[CFDS, List[Tuple[int, Fraction, Fraction, int]], Fraction]:
+    """Fix every coin in *order* by conditional expectations, then round.
+
+    Coins are private and independent, so E = q*E1 + (1-q)*E0 over the
+    nodes whose neighborhood holds the coin, and fixing it to the cheaper
+    branch cannot raise the expectation.  For each v in *order* the two
+    branches are compared by :func:`branch_sum` over N[v] at unit n^-10
+    (n = max(ambient_n, 2), at least the host's node count), and the coin
+    is 1 iff s1 < s0.  *order* must name every participating coin exactly
+    once; else DomainError.
+
+    Each quantized sum overshoots the exact one by less than |N[v]| * n^-10,
+    and the cheaper exact branch is at most the current exact sum, so a fix
+    raises the exact expectation by less than |N[v]| * n^-10 <= n^-9, and
+    all fixes together by less than n^-8.  Once every coin is fixed the
+    expectation is the output size, so the output is checked against the
+    initial expectation plus 1/n^7, and for validity on the host graph.
+
+    Returns the output, the ``(node, s0, s1, coin)`` decisions in order, and
+    the exact initial expectation.
+    """
+    n = max(inst.ambient_n, 2)
+    unit = Fraction(1, n**10)
+    law = IndependentCoinLaw(
+        {v: inst.p[v] for v in inst.participating()}, b=inst.iota
+    )
+    initial = expected_output_size(inst, law)
+    decisions: List[Tuple[int, Fraction, Fraction, int]] = []
+    for v in order:
+        if v not in law.heads or law.resolved_coin(v) is not None:
+            raise DomainError(f"node {v} has no undecided coin to fix")
+        affected = inst.graph.closed_neighbors(v)
+        saved = law.state(v)
+        sums = []
+        for branch in (0, 1):
+            law.fix_coin(v, branch)
+            sums.append(branch_sum(inst, law, affected, unit))
+            law.restore(v, saved)
+        s0, s1 = sums
+        coin = 1 if s1 < s0 else 0
+        law.fix_coin(v, coin)
+        decisions.append((v, s0, s1, coin))
+    result = run_phases(inst, law)
+    bad = validate_cfds(inst.graph, result)
+    if bad:
+        raise InvariantViolation(f"derandomized output violates constraints at {bad}")
+    if result.size > initial + Fraction(1, n**7):
+        raise InvariantViolation(
+            f"output size {result.size} exceeds expectation {initial} + 1/n^7"
+        )
+    return result, decisions, initial

@@ -1,4 +1,4 @@
-"""Graph corpora for property and acceptance tests.
+"""Graph corpora for property and acceptance tests, and a replay of coin fixes.
 
 Connected graphs up to 7 nodes come from the networkx atlas; the 8-node
 connected graphs are produced by augmenting every connected 7-node graph
@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple
 
 import networkx as nx
 
 from congestds.graph import Graph
+from congestds.rounding import (
+    IndependentCoinLaw,
+    RoundingInstance,
+    expected_output_size,
+)
 
 
 def _to_graph(g: nx.Graph) -> Graph:
@@ -120,3 +126,18 @@ def random_connected(
         if g.is_connected():
             out.append(g)
     return tuple(out)
+
+
+def replay_expectations(
+    inst: RoundingInstance, fixes: Sequence[Tuple[int, int]]
+) -> List[Fraction]:
+    """Fix the coins of a fresh law in order, one ``(node, coin)`` at a time,
+    and return the exact expected output size after each fix."""
+    law = IndependentCoinLaw(
+        {v: inst.p[v] for v in inst.participating()}, b=inst.iota
+    )
+    out: List[Fraction] = []
+    for v, coin in fixes:
+        law.fix_coin(v, coin)
+        out.append(expected_output_size(inst, law))
+    return out

@@ -49,7 +49,7 @@ class TestDerandomizeColorwise:
         col = greedy_distance2_coloring(g, [0, 1])
         out = derandomize_colorwise(inst, col)
         assert validate_cfds(g, out.result) == []
-        # verify=True already checks size <= expectation + 1/n^7
+        # derandomize already checks size <= expectation + 1/n^7
         assert out.result.size <= out.initial_expectation + Fraction(1, 2**7)
         assert len(out.decisions) == 2
         for rec in out.decisions:
@@ -61,16 +61,6 @@ class TestDerandomizeColorwise:
         col = greedy_distance2_coloring(g, range(5))
         out = derandomize_colorwise(inst, col)
         assert out.simulated_rounds == 3 * col.num_colors
-
-    def test_expectation_log_monotone(self):
-        g = cycle(4)
-        inst = fractional_instance(g, {v: Fraction(1, 4) for v in range(4)})
-        col = greedy_distance2_coloring(g, range(4))
-        out = derandomize_colorwise(inst, col, log_expectations=True)
-        values = [out.initial_expectation] + out.expectation_log
-        n = g.n
-        for before, after in zip(values, values[1:]):
-            assert after <= before + 2 * Fraction(1, n**9)
 
     def test_wrong_cover_rejected(self):
         g = Graph(2, [(0, 1)])

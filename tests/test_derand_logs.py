@@ -3,8 +3,8 @@
 The arithmetic is exact, so a change to how coins are fixed or how
 expectations are computed must leave every log bit-identical.  Each case
 hashes its logs, the initial expectation and the rounded values into one
-SHA-256; any drift in a decision, a branch sum or a logged expectation
-changes it.
+SHA-256; any drift in a decision, a branch sum or an expectation replayed
+along the decisions changes it.
 """
 
 import hashlib
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus_util import random_connected
+from corpus_util import random_connected, replay_expectations
 
 from congestds.bipartite import greedy_distance2_coloring
 from congestds.decomp import compute_decomposition
@@ -94,10 +94,11 @@ CASES = dict(instances())
 def test_colorwise_logs(name):
     inst = CASES[name]
     coloring = greedy_distance2_coloring(inst.graph, inst.participating())
-    out = derandomize_colorwise(inst, coloring, log_expectations=True)
+    out = derandomize_colorwise(inst, coloring)
+    log = replay_expectations(inst, [(d.node, d.coin) for d in out.decisions])
     assert digest(
         decision_rows(out.decisions),
-        [str(e) for e in out.expectation_log],
+        [str(e) for e in log],
         str(out.initial_expectation),
         values(out.result),
     ) == COLORWISE[name]
@@ -107,10 +108,11 @@ def test_colorwise_logs(name):
 def test_clusterwise_logs(name):
     inst = CASES[name]
     decomp = compute_decomposition(inst.graph, 2)
-    out = derandomize_clusterwise(inst, decomp, log_expectations=True)
+    out = derandomize_clusterwise(inst, decomp)
+    log = replay_expectations(inst, [(f.group[1], f.value) for f in out.fixes])
     assert digest(
         fix_rows(out.fixes),
-        [str(e) for e in out.expectation_log],
+        [str(e) for e in log],
         str(out.initial_expectation),
         values(out.result),
     ) == CLUSTERWISE[name]

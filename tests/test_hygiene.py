@@ -1,5 +1,6 @@
 """Source hygiene: every imported name, parameter and definition is used,
-and no function keeps a functools cache."""
+no function keeps a functools cache, and the derandomizers leave coin fixing
+to rounding."""
 
 import ast
 from pathlib import Path
@@ -185,3 +186,23 @@ def test_detects_unreferenced_definition():
     assert unreferenced_definitions([defining], [defining, referencing]) == [
         "K.orphan", "unused"
     ]
+
+
+#: the coin-fixing machinery, which only rounding.derandomize may drive
+COIN_FIXING = {"branch_sum", "expected_output_size", "run_phases", "IndependentCoinLaw"}
+
+
+def imported_names(source: str):
+    """Every name imported, under its original name."""
+    return {
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+
+
+@pytest.mark.parametrize("name", ["derand_cluster", "derand_color"])
+def test_derandomizers_only_order_coins(name):
+    source = (SRC / f"{name}.py").read_text(encoding="utf-8")
+    assert sorted(imported_names(source) & COIN_FIXING) == []

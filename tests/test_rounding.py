@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from corpus_util import replay_expectations
+
 from congestds import rounding
 from congestds.errors import DomainError, EnumerationBudgetError, PrecisionError
 from congestds.graph import Graph
@@ -13,6 +15,7 @@ from congestds.rounding import (
     RoundingInstance,
     branch_sum,
     conditional_expected_value,
+    derandomize,
     exact_uncover_prob,
     expected_output_size,
     factor_two_instance,
@@ -535,3 +538,66 @@ class TestClosedForm:
         monkeypatch.setattr(rounding, "_neighborhood_states", refuse)
         assert expected_output_size(inst, law) == want
 
+
+
+class TestDerandomize:
+    """derandomize fixes the coins in the order given, one decision each,
+    and keeps coin 1 exactly when its branch sum is the smaller."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random("derandomize")
+        for n in (6, 9, 12):
+            g = random_graph(rng, n)
+            yield rng, one_shot_instance(g, random_fds(rng, n))
+            yield rng, skewed_instance(rng, g)
+        g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        yield rng, delta_host(g, CFDS.fds({v: Fraction(1, 3) for v in range(6)}))
+
+    def test_decisions_follow_order(self):
+        seen = 0
+        for rng, inst in self.cases():
+            order = inst.participating()
+            rng.shuffle(order)
+            result, decisions, _ = derandomize(inst, order)
+            assert [d[0] for d in decisions] == order
+            for v, s0, s1, coin in decisions:
+                assert coin == (1 if s1 < s0 else 0)
+            assert validate_cfds(inst.graph, result) == []
+            seen += len(order)
+        assert seen > 0
+
+    def test_each_fix_raises_expectation_by_less_than_its_slack(self):
+        for rng, inst in self.cases():
+            order = inst.participating()
+            rng.shuffle(order)
+            result, decisions, initial = derandomize(inst, order)
+            trace = [initial] + replay_expectations(
+                inst, [(v, coin) for v, _, _, coin in decisions]
+            )
+            n = max(inst.ambient_n, 2)
+            for (v, _, _, _), before, after in zip(decisions, trace, trace[1:]):
+                slack = Fraction(len(inst.graph.closed_neighbors(v)), n**10)
+                assert after - before < slack
+            # with every coin fixed the expectation is the output size
+            assert trace[-1] == result.size
+
+    def test_order_must_name_each_coin_once(self):
+        inst = k2_half()
+        with pytest.raises(DomainError):
+            derandomize(inst, [0])
+        with pytest.raises(DomainError):
+            derandomize(inst, [0, 1, 0])
+        with pytest.raises(DomainError):
+            derandomize(inst, [0, 0, 1])
+
+    def test_order_rejects_a_node_without_a_coin(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        inst = RoundingInstance(
+            graph=g,
+            x={0: HALF, 1: Fraction(1), 2: Fraction(0)},
+            p={0: HALF, 1: Fraction(1), 2: Fraction(0)},
+            c={v: Fraction(1) for v in range(3)},
+        )
+        with pytest.raises(DomainError):
+            derandomize(inst, [0, 1])
