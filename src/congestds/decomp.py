@@ -68,7 +68,6 @@ class NetworkDecomposition:
     color: Dict[int, int]  # leader id -> color in 1..num_colors
     k: int
     d: int
-    charged_rounds: int = 0
 
     @property
     def num_colors(self) -> int:
@@ -168,7 +167,6 @@ def compute_decomposition(graph: Graph, k: int) -> NetworkDecomposition:
         color=color,
         k=k,
         d=d,
-        charged_rounds=decomposition_charge(graph.n, k),
     )
 
 

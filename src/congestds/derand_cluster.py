@@ -16,6 +16,7 @@ from .decomp import (
     Cluster,
     NetworkDecomposition,
     compute_decomposition,
+    decomposition_charge,
     validate_decomposition,
 )
 from .errors import InvariantViolation, PreconditionError
@@ -55,7 +56,7 @@ class ClusterOutcome:
     fixes: List[CoinFixRecord]
     simulated_rounds: int
     initial_expectation: Fraction
-    charged_rounds: int = 0
+    charged_rounds: int
 
 
 def derandomize_clusterwise(
@@ -69,7 +70,8 @@ def derandomize_clusterwise(
     and they fix their coins in parallel.  Each aggregated coin costs
     2*depth+2 rounds; coins of parallel clusters overlap.
     ``simulated_rounds`` is counted by this schedule's formula, not by a
-    simulation.
+    simulation; ``charged_rounds`` is the cited decomposition's
+    :func:`decomposition_charge`.
     """
     if decomp.k < 2:
         raise PreconditionError(
@@ -108,7 +110,7 @@ def derandomize_clusterwise(
         fixes=fixes,
         simulated_rounds=simulated,
         initial_expectation=initial,
-        charged_rounds=decomp.charged_rounds,
+        charged_rounds=decomposition_charge(inst.graph.n, decomp.k),
     )
 
 

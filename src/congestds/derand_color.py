@@ -141,7 +141,7 @@ def delta_one_shot(
         x[n + v] = scaled[v]
         p[n + v] = scaled[v]
         c[v] = ONE
-    inst = RoundingInstance(graph=host, x=x, p=p, c=c, ambient_n=2 * n)
+    inst = RoundingInstance(graph=host, x=x, p=p, c=c)
     S = inst.participating()
     coloring = greedy_distance2_coloring(host, S)
     if coloring.num_colors > F * dt:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -24,7 +24,6 @@ from scipy.sparse import csr_matrix
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
-from .sim import RoundStats, charge_oracle
 from .values import CFDS, ONE, iota_for, quantize_up, validate_cfds
 
 #: Graphs with at least this many nodes solve the LP by interior point;
@@ -33,29 +32,24 @@ from .values import CFDS, ONE, iota_for, quantize_up, validate_cfds
 IPM_MIN_NODES = 150
 
 
-def lp_round_charge(tol: Fraction, delta: int) -> int:
-    """Charged rounds of the cited distributed LP solver: tol^-4 * log2^2(Delta+2)."""
-    return math.ceil(float(tol) ** -4 * math.log2(delta + 2) ** 2)
+def lp_round_charge(eps: Fraction, delta: int) -> int:
+    """Charged rounds of the cited distributed LP solver for
+    :func:`initial_fds` at *eps*: it runs at tolerance tol = eps/2 and takes
+    tol^-4 * log2^2(Delta+2) rounds."""
+    return math.ceil(float(eps / 2) ** -4 * math.log2(delta + 2) ** 2)
 
 
-def lp_fractional_opt(
-    graph: Graph, tol, stats: Optional[RoundStats] = None
-) -> CFDS:
-    """A fractional dominating set of size <= (1+tol)*OPT_frac.
+def lp_fractional_opt(graph: Graph) -> CFDS:
+    """An optimal fractional dominating set, repaired to exact feasibility.
 
-    Exactly feasible by construction; the solver's float output is repaired
-    upward, which can only grow the objective by a vanishing amount relative
-    to tol at desk scale.  The repaired solution depends only on the graph,
-    so it is solved once per ``Graph`` object and kept on it.
+    The solver's float output is repaired upward, which can only grow the
+    objective by a vanishing amount at desk scale.  The repaired solution
+    depends only on the graph, so it is solved once per ``Graph`` object and
+    kept on it.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     n = graph.n
     if n == 0:
         raise DomainError("empty graph")
-    if stats is not None:
-        charge_oracle(stats, lp_round_charge(tol, graph.max_degree), "lp-solver")
     if graph.max_degree == 0:
         return CFDS.fds({v: ONE for v in range(n)})
     if graph.lp_solution is None:
@@ -109,14 +103,13 @@ def _lp_solution(graph: Graph) -> Tuple[Fraction, ...]:
     return tuple(d.x[v] for v in range(n))
 
 
-def initial_fds(
-    graph: Graph, eps, stats: Optional[RoundStats] = None
-) -> CFDS:
+def initial_fds(graph: Graph, eps) -> CFDS:
     """An (1+eps)-approximate fractional dominating set, eps/(2*Delta)-fractional.
 
-    Solves the LP at tolerance eps/2, then lifts every value below
-    eps/(2*Delta) up to it so later rounding stages get the fractionality
-    they need; the lift costs at most n * eps/(2*Delta) <= eps/2 * OPT extra.
+    Takes the LP optimum in place of the cited solver's output (its rounds
+    are :func:`lp_round_charge`), then lifts every value below eps/(2*Delta)
+    up to it so later rounding stages get the fractionality they need; the
+    lift costs at most n * eps/(2*Delta) <= eps/2 * OPT extra.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -125,7 +118,7 @@ def initial_fds(
     delta = graph.max_degree
     if delta == 0:
         return CFDS.fds({v: ONE for v in range(n)})
-    base = lp_fractional_opt(graph, eps / 2, stats)
+    base = lp_fractional_opt(graph)
     floor = quantize_up(min(ONE, eps / (2 * delta)), n)
     x = {v: max(base.x[v], floor) for v in range(n)}
     return CFDS.fds(x)

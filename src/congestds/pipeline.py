@@ -10,6 +10,15 @@ as library functions (``n_factor_two``, ``delta_factor_two``), but their
 precondition r >= 256 * eps^-3 * ln Delta~ is met by no input this library
 can hold: the LP start lifts every value to at least eps1/(2 Delta), so
 r <= 2 Delta/eps1 + 1.  The one-shot stage absorbs the remaining gap.
+
+Each stage reports two round counts.  ``sim_rounds`` are the rounds of the
+stages implemented here, counted by each stage's schedule formula, not by a
+simulation.  ``charged_rounds`` are the rounds of the cited distributed
+subroutines that run centrally here, each a formula computed where its
+stage's result is built: the LP solver (``lp_init.lp_round_charge``), the
+network decomposition (``decomp.decomposition_charge``), the distance-2
+coloring (``bipartite.coloring_round_cost``), and the ruling subset and
+cluster spanner of the CDS extension (``cds.build_cds``).
 """
 
 from __future__ import annotations
@@ -25,9 +34,8 @@ from .derand_cluster import n_one_shot
 from .derand_color import delta_one_shot
 from .errors import DomainError, InvariantViolation, PreconditionError
 from .graph import Graph
-from .lp_init import initial_fds, lp_fractional_opt
+from .lp_init import initial_fds, lp_fractional_opt, lp_round_charge
 from .oracles import brute_force_mds
-from .sim import RoundStats
 from .values import CFDS, ONE, fractionality, ln_upper, validate_cfds
 
 DEFAULT_OPT_CAP = 24
@@ -142,7 +150,7 @@ def _opt_estimate(
     """
     if graph.n <= opt_cap:
         return Fraction(brute_force_mds(graph, cap=opt_cap)[0]), "brute-force"
-    lp = lp_fractional_opt(graph, Fraction(1, 100))
+    lp = lp_fractional_opt(graph)
     return lp.size, "lp-estimate"
 
 
@@ -206,12 +214,10 @@ def _run_mds(
         params=_params_obj(params),
     )
 
-    stats = RoundStats()
-    current = initial_fds(graph, params.eps1, stats)
+    current = initial_fds(graph, params.eps1)
     frac = fractionality(current)
-    report.stages.append(
-        StageReport("initial-lp", current.size, frac, 0, stats.charged_rounds)
-    )
+    charge = lp_round_charge(params.eps1, graph.max_degree)
+    report.stages.append(StageReport("initial-lp", current.size, frac, 0, charge))
 
     F_eff = max(1, math.ceil(1 / frac))
     if scheme == "n":
@@ -288,4 +294,5 @@ def run_cds(
     report.extras["ds_size"] = len(ds)
     report.ratio = None
     report.opt = None
+    del report.extras["opt_kind"]
     return result.sbar, report

@@ -48,27 +48,23 @@ MAX_DP_STATES = 1 << 24
 class RoundingInstance:
     """One rounding step: host graph plus per-node value, probability, constraint.
 
-    ``ambient_n`` sets the fixed-point width for quantization (it may differ
-    from ``graph.n`` when the host is an auxiliary graph standing in for a
-    smaller original).
+    The host's node count sets the fixed-point width ``iota`` for
+    quantization.
     """
 
     graph: Graph
     x: Dict[int, Fraction]
     p: Dict[int, Fraction]
     c: Dict[int, Fraction]
-    ambient_n: int = 0
 
     def __post_init__(self):
-        if self.ambient_n <= 0:
-            self.ambient_n = self.graph.n
         self.x = as_fractions(self.x)
         self.p = as_fractions(self.p)
         self.c = as_fractions(self.c)
         nodes = set(range(self.graph.n))
         if set(self.x) != nodes or set(self.p) != nodes or set(self.c) != nodes:
             raise DomainError("x, p, c must cover exactly the host graph's nodes")
-        self.iota = iota_for(max(self.ambient_n, 2))
+        self.iota = iota_for(max(self.graph.n, 2))
         one = 1 << self.iota
         # every value in integer units of 2**-iota, which every expectation
         # reads, so they are computed once
@@ -453,9 +449,9 @@ def derandomize(
     nodes whose neighborhood holds the coin, and fixing it to the cheaper
     branch cannot raise the expectation.  For each v in *order* the two
     branches are compared by :func:`branch_sum` over N[v] at unit n^-10
-    (n = max(ambient_n, 2), at least the host's node count), and the coin
-    is 1 iff s1 < s0.  *order* must name every participating coin exactly
-    once; else DomainError.
+    (n = max(host's node count, 2)), and the coin is 1 iff s1 < s0.
+    *order* must name every participating coin exactly once; else
+    DomainError.
 
     Each quantized sum overshoots the exact one by less than |N[v]| * n^-10,
     and the cheaper exact branch is at most the current exact sum, so a fix
@@ -467,7 +463,7 @@ def derandomize(
     Returns the output, the ``(node, s0, s1, coin)`` decisions in order, and
     the exact initial expectation.
     """
-    n = max(inst.ambient_n, 2)
+    n = max(inst.graph.n, 2)
     unit = Fraction(1, n**10)
     law = IndependentCoinLaw(
         {v: inst.p[v] for v in inst.participating()}, b=inst.iota

@@ -139,7 +139,7 @@ def _expectation_bound(inst):
     """A + sum over nodes of Pr(constraint uncovered), all exact."""
     S = inst.participating()
     law = IndependentCoinLaw(
-        {v: inst.p[v] for v in S}, b=iota_for(max(inst.ambient_n, 2))
+        {v: inst.p[v] for v in S}, b=inst.iota
     )
     A = ZERO
     for v in range(inst.graph.n):
@@ -173,7 +173,7 @@ def derand_runs():
 def test_criterion_3_derandomization_dominance(derand_runs):
     violations = 0
     for g, inst, bound, coloring, decomp, color_out, cluster_out in derand_runs:
-        n = max(inst.ambient_n, 2)
+        n = max(inst.graph.n, 2)
         if color_out.result.size > bound + Fraction(1, n**7):
             violations += 1
         if cluster_out.result.size > bound + Fraction(1, n**7):
@@ -193,7 +193,7 @@ def test_criterion_4_per_fix_monotonicity():
     violations = 0
     for g in graphs:
         inst = _one_shot_inst(g)
-        n = max(inst.ambient_n, 2)
+        n = max(inst.graph.n, 2)
         step = Fraction(2, n**9)
         coloring = greedy_distance2_coloring(g, inst.participating())
         color_out = derandomize_colorwise(inst, coloring)
@@ -352,7 +352,7 @@ def test_criterion_10_cross_scheme_equivalence():
     for g in graphs:
         inst = _one_shot_inst(g)
         bound = _expectation_bound(inst)
-        n = max(inst.ambient_n, 2)
+        n = max(inst.graph.n, 2)
         coloring = greedy_distance2_coloring(g, inst.participating())
         color_out = derandomize_colorwise(inst, coloring)
         cluster_out = derandomize_clusterwise(inst, single_cluster_decomposition(g))

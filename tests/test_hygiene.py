@@ -1,6 +1,6 @@
 """Source hygiene: every imported name, parameter and definition is used,
-no function keeps a functools cache, and the derandomizers leave coin fixing
-to rounding."""
+definitions only tests use are listed, no function keeps a functools cache,
+and the derandomizers leave coin fixing to rounding."""
 
 import ast
 from pathlib import Path
@@ -186,6 +186,46 @@ def test_detects_unreferenced_definition():
     assert unreferenced_definitions([defining], [defining, referencing]) == [
         "K.orphan", "unused"
     ]
+
+
+#: library definitions that only tests reference, each kept on purpose
+TEST_ONLY = {
+    # the paper's fractionality-doubling stages, which no pipeline reaches
+    # (ROADMAP item 7)
+    "n_factor_two",
+    "delta_factor_two",
+    # exact references that tests check the fast paths and the cluster
+    # scheme against
+    "exact_uncover_prob",
+    "RoundingInstance.deterministic_value",
+    "single_cluster_decomposition",
+    # helpers that tests build and inspect graphs with
+    "Graph.distance",
+    "complete",
+}
+
+
+def test_no_test_only_definitions():
+    """A definition that only tests call (a charge formula left behind, say)
+    is dead library code unless it is listed in ``TEST_ONLY``."""
+    library = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    defining = [p.read_text(encoding="utf-8") for p in MODULES]
+    assert unreferenced_definitions(defining, library) == sorted(TEST_ONLY)
+
+
+def test_detects_test_only_definition():
+    stage = (
+        "def run(): return formula()\n"
+        "def formula(): return 1\n"
+        "def left_behind(): return 2\n"
+        "class K:\n"
+        "    def method(self): pass\n"
+    )
+    caller = "run()\nK().method()\n"
+    tests = "left_behind()\nK().method()\n"
+    library = [stage, caller]
+    assert unreferenced_definitions([stage], library) == ["left_behind"]
+    assert unreferenced_definitions([stage], library + [tests]) == []
 
 
 #: the coin-fixing machinery, which only rounding.derandomize may drive

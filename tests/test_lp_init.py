@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 
 import congestds.lp_init as lp_init
-from congestds.errors import DomainError, StructuralError
+from congestds.errors import StructuralError
 from congestds.generators import complete, generate_graph, petersen
 from congestds.graph import Graph
 from congestds.lp_init import (
@@ -17,45 +17,45 @@ from congestds.lp_init import (
     lp_round_charge,
 )
 from congestds.oracles import brute_force_mds
-from congestds.sim import RoundStats
+from congestds.pipeline import run_mds_n
 from congestds.values import CFDS, quantize_up, validate_cfds
 
+#: slack over the optimum that the repaired LP solution must stay within
 TOL = Fraction(1, 4)
 
 
 class TestLpFractionalOpt:
     def test_complete_graph_near_one(self):
         g = complete(6)
-        d = lp_fractional_opt(g, TOL)
+        d = lp_fractional_opt(g)
         assert validate_cfds(g, d) == []
         assert d.size <= (1 + TOL) * 1
 
     def test_c5_near_five_thirds(self):
         g = generate_graph("cycle", {"n": 5})
-        d = lp_fractional_opt(g, TOL)
+        d = lp_fractional_opt(g)
         assert validate_cfds(g, d) == []
         assert d.size <= (1 + TOL) * Fraction(5, 3)
 
     def test_star_center_only(self):
         g = generate_graph("star", {"m": 6})
-        d = lp_fractional_opt(g, TOL)
+        d = lp_fractional_opt(g)
         assert validate_cfds(g, d) == []
         assert d.size <= (1 + TOL) * 1
 
     def test_edgeless_all_ones(self):
         g = Graph(3, [])
-        d = lp_fractional_opt(g, TOL)
+        d = lp_fractional_opt(g)
         assert d.x == {v: Fraction(1) for v in range(3)}
 
     def test_charges_rounds(self):
-        stats = RoundStats()
-        lp_fractional_opt(generate_graph("path", {"n": 4}), TOL, stats)
-        assert stats.charged_rounds == lp_round_charge(TOL, 2)
-        assert stats.charges[0][0] == "lp-solver"
-
-    def test_bad_tol(self):
-        with pytest.raises(DomainError):
-            lp_fractional_opt(Graph(1, []), 0)
+        # eps = 1/2 gives eps1 = 1/32, and the solver runs at eps1/2 = 1/64
+        eps1 = Fraction(1, 32)
+        _, report = run_mds_n(generate_graph("path", {"n": 4}), Fraction(1, 2))
+        assert report.stages[0].name == "initial-lp"
+        assert report.stages[0].charged_rounds == lp_round_charge(eps1, 2)
+        # tol^-4 * log2^2(Delta+2)
+        assert lp_round_charge(eps1, 2) == 64**4 * 2**2
 
     def test_within_factor_of_integral_optimum(self):
         for kind, params in [
@@ -64,7 +64,7 @@ class TestLpFractionalOpt:
             ("grid", {"rows": 2, "cols": 4}),
         ]:
             g = generate_graph(kind, params)
-            d = lp_fractional_opt(g, TOL)
+            d = lp_fractional_opt(g)
             opt, _ = brute_force_mds(g)
             assert d.size <= (1 + TOL) * opt
 

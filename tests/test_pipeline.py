@@ -1,10 +1,14 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+import congestds.derand_color as derand_color
 import congestds.lp_init as lp_init
+from congestds.bipartite import coloring_round_cost
 from congestds.cds import is_dominating
+from congestds.decomp import decomposition_charge
 from congestds.errors import DomainError, PreconditionError
 from congestds.generators import complete, generate_graph, gnp_connected, petersen
 from congestds.graph import Graph
@@ -124,6 +128,74 @@ class TestCdsPipeline:
         text = report.to_text()
         assert "final: size=" in text
         assert "connected: True" in text
+
+    def test_no_opt_label_without_opt(self):
+        _, report = run_cds(generate_graph("cycle", {"n": 8}), Fraction(1, 2))
+        final = json.loads(report.to_json())["final"]
+        assert final["opt"] is None and final["ratio"] is None
+        assert "opt_kind" not in final
+
+
+CHARGE_GRAPHS = {
+    "petersen": petersen,
+    "grid-3x3": lambda: generate_graph("grid", {"rows": 3, "cols": 3}),
+    # above the default opt_cap
+    "cycle-30": lambda: generate_graph("cycle", {"n": 30}),
+}
+EPS = Fraction(1, 2)
+
+
+def charges(report):
+    return {stage.name: stage.charged_rounds for stage in report.stages}
+
+
+def lp_charge(graph):
+    """The cited LP solver at tolerance eps1/2: tol^-4 * log2^2(Delta+2)."""
+    tol = PipelineParams.from_graph(graph, EPS).eps1 / 2
+    return math.ceil(float(tol) ** -4 * math.log2(graph.max_degree + 2) ** 2)
+
+
+@pytest.mark.parametrize("name", sorted(CHARGE_GRAPHS))
+class TestChargedRounds:
+    """Every stage's charged rounds are its cited subroutine's formula."""
+
+    def test_n_pipeline(self, name):
+        g = CHARGE_GRAPHS[name]()
+        _, report = run_mds_n(g, EPS)
+        assert charges(report) == {
+            "initial-lp": lp_charge(g),
+            "one-shot": decomposition_charge(g.n, 2),
+        }
+
+    def test_delta_pipeline(self, name, monkeypatch):
+        hosts = []
+        real = derand_color.derandomize_colorwise
+
+        def recording(inst, coloring):
+            hosts.append(inst.graph)
+            return real(inst, coloring)
+
+        monkeypatch.setattr(derand_color, "derandomize_colorwise", recording)
+        g = CHARGE_GRAPHS[name]()
+        _, report = run_mds_delta(g, EPS)
+        (host,) = hosts
+        n = g.n
+        delta_l = max(host.degree(v) for v in range(n))
+        delta_r = max(host.degree(b) for b in range(n, 2 * n))
+        assert charges(report) == {
+            "initial-lp": lp_charge(g),
+            "one-shot": coloring_round_cost(delta_l, delta_r, n),
+        }
+
+    def test_cds_pipeline(self, name):
+        g = CHARGE_GRAPHS[name]()
+        _, report = run_cds(g, EPS)
+        assert charges(report) == {
+            "initial-lp": lp_charge(g),
+            "one-shot": decomposition_charge(g.n, 2),
+            # ruling subset and cluster spanner, log2^3 n each
+            "cds-extension": 2 * math.ceil(math.log2(g.n) ** 3),
+        }
 
 
 def test_lp_estimate_above_opt_cap():

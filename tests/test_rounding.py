@@ -404,7 +404,7 @@ def random_law(rng, inst):
     either way, or live at an arbitrary (good, width)."""
     S = inst.participating()
     law = IndependentCoinLaw(
-        {v: inst.p[v] for v in S}, b=iota_for(max(inst.ambient_n, 2))
+        {v: inst.p[v] for v in S}, b=inst.iota
     )
     for v in S:
         kind = rng.randrange(4)
@@ -440,7 +440,7 @@ def delta_host(graph, xprime):
     for v in range(n):
         x[n + v] = p[n + v] = scaled[v]
         c[v] = Fraction(1)
-    return RoundingInstance(graph=host, x=x, p=p, c=c, ambient_n=2 * n)
+    return RoundingInstance(graph=host, x=x, p=p, c=c)
 
 
 def skewed_instance(rng, graph):
@@ -575,7 +575,7 @@ class TestDerandomize:
             trace = [initial] + replay_expectations(
                 inst, [(v, coin) for v, _, _, coin in decisions]
             )
-            n = max(inst.ambient_n, 2)
+            n = max(inst.graph.n, 2)
             for (v, _, _, _), before, after in zip(decisions, trace, trace[1:]):
                 slack = Fraction(len(inst.graph.closed_neighbors(v)), n**10)
                 assert after - before < slack
