@@ -42,15 +42,15 @@ def ruling_subset(
         raise DomainError(f"alpha must be >= 1, got {alpha}")
     S = sorted(set(S))
     chosen: List[int] = []
-    dist_to_chosen: Dict[int, float] = {}
+    # hop distance to the nearest chosen node, for nodes within beta of one
+    dist_to_chosen: Dict[int, int] = {}
     for v in S:
-        if dist_to_chosen.get(v, float("inf")) >= alpha:
+        if dist_to_chosen.get(v, alpha) >= alpha:
             chosen.append(v)
-            for w, d in graph.bfs_distances(v).items():
-                if d < dist_to_chosen.get(w, float("inf")):
-                    dist_to_chosen[w] = d
+            for w, d in graph.bfs_distances([v], limit=beta).items():
+                dist_to_chosen[w] = min(d, dist_to_chosen.get(w, d))
     for v in S:
-        if dist_to_chosen.get(v, float("inf")) > beta:
+        if v not in dist_to_chosen:
             raise StructuralError(
                 f"node {v} is farther than beta={beta} from every chosen node"
             )
@@ -238,29 +238,24 @@ def connector_paths(
         for v in graph.adj[u]:
             if v in s_set and u < v:
                 offer([u, v], 1)
+    # each non-S node's representatives, shared by rules 2 and 3
+    reps = {
+        w: _representatives(graph, s_set, membership, w)
+        for w in range(graph.n)
+        if w not in s_set
+    }
     # rule 2: 2-hop paths through a non-S node adjacent to several clusters
-    for w in range(graph.n):
-        if w in s_set:
-            continue
-        reps = _representatives(graph, s_set, membership, w)
-        for (ca, ua), (cb, ub) in zip(reps, reps[1:]):
+    for w, reps_w in reps.items():
+        for (ca, ua), (cb, ub) in zip(reps_w, reps_w[1:]):
             offer([ua, w, ub], 2)
     # rule 3: 3-hop paths through two adjacent non-S nodes
-    for w in range(graph.n):
-        if w in s_set:
-            continue
-        reps_w = _representatives(graph, s_set, membership, w)
+    for w, reps_w in reps.items():
         if not reps_w:
             continue
         w1 = reps_w[0][1]
         for wp in graph.adj[w]:
-            if wp in s_set:
-                continue
-            reps_wp = _representatives(graph, s_set, membership, wp)
-            if not reps_wp:
-                continue
-            wk = reps_wp[-1][1]
-            offer([w1, w, wp, wk], 3)
+            if reps.get(wp):
+                offer([w1, w, wp, reps[wp][-1][1]], 3)
 
     usage: Dict[Tuple[int, int], int] = {}
     for cp in selected:

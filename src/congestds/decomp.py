@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
@@ -32,14 +32,22 @@ class ClusterTree:
         return sorted(set(self.parent) | {self.root})
 
     def depth(self) -> int:
-        memo: Dict[int, int] = {self.root: 0}
-
-        def d(v: int) -> int:
-            if v not in memo:
-                memo[v] = d(self.parent[v]) + 1
-            return memo[v]
-
-        return max((d(v) for v in self.parent), default=0)
+        """Longest root path; StructuralError if a parent chain loops or
+        leaves the tree."""
+        depth = {self.root: 0}
+        for v in self.parent:
+            chain: List[int] = []
+            while v not in depth:
+                if v not in self.parent or len(chain) > len(self.parent):
+                    raise StructuralError(
+                        f"parent chain of tree {self.root} loops or leaves it at {v}"
+                    )
+                chain.append(v)
+                v = self.parent[v]
+            for u in reversed(chain):
+                depth[u] = depth[v] + 1
+                v = u
+        return max(depth.values())
 
 
 @dataclass
@@ -84,19 +92,17 @@ def decomposition_charge(n: int, k: int) -> int:
     return k * int(f)
 
 
-def _ball(graph: Graph, sources: List[int], radius: int) -> Set[int]:
-    """Nodes within *radius* hops of any of *sources*: one multi-source BFS."""
-    seen = set(sources)
-    frontier = list(seen)
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for w in graph.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+def _bfs_tree(graph: Graph, root: int, dist: Dict[int, int]) -> ClusterTree:
+    """The BFS tree of *dist* (hop distances from *root*): each node's parent
+    is its lowest-id neighbour one hop nearer the root."""
+    parent: Dict[int, int] = {}
+    for v, dv in dist.items():
+        if dv:
+            for u in graph.adj[v]:
+                if dist.get(u) == dv - 1:
+                    parent[v] = u
+                    break
+    return ClusterTree(root=root, parent=parent)
 
 
 def single_cluster_decomposition(graph: Graph) -> NetworkDecomposition:
@@ -105,11 +111,7 @@ def single_cluster_decomposition(graph: Graph) -> NetworkDecomposition:
         raise DomainError("empty graph has no decomposition")
     if not graph.is_connected():
         raise DomainError("single-cluster decomposition needs a connected graph")
-    dist = graph.bfs_distances(0)
-    parent: Dict[int, int] = {}
-    for v in range(1, graph.n):
-        parent[v] = min(u for u in graph.adj[v] if dist[u] == dist[v] - 1)
-    tree = ClusterTree(root=0, parent=parent)
+    tree = _bfs_tree(graph, 0, graph.bfs_distances([0]))
     cl = Cluster(leader=0, members=list(range(graph.n)), tree=tree)
     return NetworkDecomposition(
         clusters=[cl], color={0: 1}, k=2, d=max(tree.depth(), 1)
@@ -131,32 +133,19 @@ def compute_decomposition(graph: Graph, k: int) -> NetworkDecomposition:
     d = math.ceil(math.log2(max(graph.n, 2)))
     unclustered = set(range(graph.n))
     clusters: List[Cluster] = []
-    while unclustered:
-        src = min(unclustered)
-        dist = {src: 0}
-        parent: Dict[int, int] = {}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if dist[u] >= d:
-                    continue
-                for w in graph.adj[u]:
-                    if w in unclustered and w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = sorted(nxt)
-        members = sorted(dist)
-        unclustered -= set(members)
-        tree = ClusterTree(root=src, parent=parent)
-        clusters.append(Cluster(leader=src, members=members, tree=tree))
+    for src in range(graph.n):
+        if src not in unclustered:
+            continue
+        dist = graph.bfs_distances([src], limit=d, within=unclustered)
+        unclustered.difference_update(dist)
+        tree = _bfs_tree(graph, src, dist)
+        clusters.append(Cluster(leader=src, members=list(dist), tree=tree))
 
     # color the conflict structure: clusters within k hops must differ
     leader_of = {v: cl.leader for cl in clusters for v in cl.members}
     color: Dict[int, int] = {}
     for cl in clusters:
-        near = {leader_of[w] for w in _ball(graph, cl.members, k)}
+        near = {leader_of[w] for w in graph.bfs_distances(cl.members, limit=k)}
         used = {color[l] for l in near if l in color}
         c = 1
         while c in used:
@@ -203,7 +192,7 @@ def validate_decomposition(graph: Graph, nd: NetworkDecomposition) -> None:
             # the first later cluster of this color within k hops of a
             later = [
                 index[seen[w]]
-                for w in _ball(graph, a.members, nd.k)
+                for w in graph.bfs_distances(a.members, limit=nd.k)
                 if index.get(seen[w], -1) > i
             ]
             if later:

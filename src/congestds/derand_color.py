@@ -233,7 +233,7 @@ def delta_factor_two(
     bad = validate_cfds(graph, result)
     if bad:
         raise InvariantViolation(f"factor-two output not dominating at {bad}")
-    floor = min(Fraction(2, r), Fraction(1, math.ceil(256 * eps**-3 * float(ln_dt))))
+    floor = min(Fraction(2, r), Fraction(1, math.ceil(256 * eps**-3 * ln_dt)))
     if fractionality(result) < floor:
         raise InvariantViolation(
             f"factor-two output fractionality {fractionality(result)} below {floor}"

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError
 
@@ -79,44 +78,44 @@ class Graph:
 
     # -- traversal ---------------------------------------------------------
 
-    def bfs_distances(self, src: int, limit: Optional[int] = None) -> Dict[int, int]:
-        """Hop distances from src; nodes beyond *limit* are omitted."""
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if limit is not None and dist[u] >= limit:
-                continue
-            for w in self.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+    def bfs_distances(
+        self,
+        sources: Iterable[int],
+        limit: Optional[int] = None,
+        within: Optional[Container[int]] = None,
+    ) -> Dict[int, int]:
+        """Hop distances to the nearest of *sources*, by one breadth-first search.
+
+        Every source is at distance 0.  Nodes more than *limit* hops away are
+        omitted.  With *within*, the search enters only nodes in that set, so
+        the distances are those of the subgraph it induces (plus the sources).
+        """
+        dist = dict.fromkeys(sources, 0)
+        frontier = list(dist)
+        d = 0
+        while frontier and (limit is None or d < limit):
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in self.adj[u]:
+                    if w not in dist and (within is None or w in within):
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
         return dist
 
     def distance(self, u: int, v: int) -> float:
-        d = self.bfs_distances(u)
-        return d.get(v, float("inf"))
+        return self.bfs_distances([u]).get(v, float("inf"))
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return len(self.bfs_distances(0)) == self.n
+        return self.n == 0 or len(self.bfs_distances([0])) == self.n
 
     def subgraph_is_connected(self, nodes: Sequence[int]) -> bool:
         """Connectivity of the induced subgraph on *nodes*."""
         node_set = set(nodes)
-        if not node_set:
-            return True
-        start = next(iter(node_set))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if w in node_set and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(node_set)
+        return not node_set or len(
+            self.bfs_distances([next(iter(node_set))], within=node_set)
+        ) == len(node_set)
 
     # -- equality / hashing -------------------------------------------------
 

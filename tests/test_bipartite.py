@@ -48,7 +48,7 @@ class TestColoring:
             bad = []
             members = coloring.members
             for i, u in enumerate(members):
-                near = graph.bfs_distances(u, limit=2)
+                near = graph.bfs_distances([u], limit=2)
                 for v in members[i + 1 :]:
                     if coloring.color[u] == coloring.color[v] and v in near:
                         bad.append((u, v))
@@ -73,7 +73,7 @@ class TestColoring:
             # onto a random member (a clash only if the two are close)
             for _ in range(rng.randint(0, 4)):
                 u = rng.choice(members)
-                near = [v for v in g.bfs_distances(u, limit=2) if v in color]
+                near = [v for v in g.bfs_distances([u], limit=2) if v in color]
                 v = rng.choice(near if rng.random() < 0.7 else members)
                 color[v] = color[u]
             bad = coloring_violations(g, Coloring(color, max(color.values())))

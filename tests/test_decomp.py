@@ -62,6 +62,33 @@ def sparse_graphs(seed, count):
                         if rng.random() < 2.5 / n])
 
 
+class TestClusterTree:
+    def test_depth(self):
+        # a cluster tree's depth sets the 2*depth+2 formula-counted
+        # sim_rounds per coin of the cluster-ordered derandomizer
+        tree = ClusterTree(root=0, parent={1: 0, 2: 1, 3: 1})
+        assert tree.depth() == 2
+        assert tree.members == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("parent", [{1: 2, 2: 1}, {1: 1, 2: 0}, {1: 0, 2: 3}])
+    def test_bad_parent_map_rejected(self, parent):
+        # a parent chain that loops, or that leaves the tree at node 3
+        tree = ClusterTree(root=0, parent=parent)
+        with pytest.raises(StructuralError):
+            tree.depth()
+        g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        nd = NetworkDecomposition(
+            clusters=[Cluster(leader=0, members=[0, 1, 2], tree=tree),
+                      Cluster(leader=3, members=[3],
+                              tree=ClusterTree(root=3, parent={}))],
+            color={0: 1, 3: 2},
+            k=2,
+            d=2,
+        )
+        with pytest.raises(StructuralError):
+            validate_decomposition(g, nd)
+
+
 class TestSingleCluster:
     def test_path_tree(self):
         g = path(4)

@@ -42,7 +42,18 @@ class TestGraphBasics:
 
     def test_bfs_limit(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert sorted(g.bfs_distances(0, limit=2)) == [0, 1, 2]
+        assert sorted(g.bfs_distances([0], limit=2)) == [0, 1, 2]
+
+    def test_bfs_sources_and_within(self):
+        # path 0-1-2-3-4-5 plus a shortcut 0-5
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+        assert g.bfs_distances([1, 4]) == {1: 0, 4: 0, 0: 1, 2: 1, 3: 1, 5: 1}
+        assert g.bfs_distances([1, 4], limit=0) == {1: 0, 4: 0}
+        # within {0..4} the shortcut's far end is out of reach
+        assert g.bfs_distances([0], within={0, 1, 2, 3, 4}) == {
+            0: 0, 1: 1, 2: 2, 3: 3, 4: 4
+        }
+        assert g.bfs_distances([3], limit=1, within={2, 3}) == {3: 0, 2: 1}
 
     def test_hash_equality(self):
         a = Graph(3, [(0, 1)])

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name, parameter and definition is used,
 definitions only tests use are listed, no function keeps a functools cache,
-and the derandomizers leave coin fixing to rounding."""
+the derandomizers leave coin fixing to rounding, and graph searches are left
+to ``Graph.bfs_distances``."""
 
 import ast
 from pathlib import Path
@@ -246,3 +247,40 @@ def imported_names(source: str):
 def test_derandomizers_only_order_coins(name):
     source = (SRC / f"{name}.py").read_text(encoding="utf-8")
     assert sorted(imported_names(source) & COIN_FIXING) == []
+
+
+def adjacency_while_loops(source: str):
+    """Functions holding a ``while`` loop that reads an ``.adj`` attribute:
+    a hand-written graph search."""
+    return sorted({
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for loop in ast.walk(fn)
+        if isinstance(loop, ast.While)
+        and any(isinstance(n, ast.Attribute) and n.attr == "adj"
+                for n in ast.walk(loop))
+    })
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "graph.py"], ids=lambda p: p.stem
+)
+def test_only_graph_searches_adjacency(path):
+    assert adjacency_while_loops(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_adjacency_while_loop():
+    src = (
+        "def grow(graph, src):\n"
+        "    frontier = [src]\n"
+        "    while frontier:\n"
+        "        frontier = [w for u in frontier for w in graph.adj[u]]\n"
+        "def scan(graph, nodes):\n"
+        "    for u in nodes:\n"
+        "        for w in graph.adj[u]:\n"
+        "            pass\n"
+        "    while nodes:\n"
+        "        nodes.pop()\n"
+    )
+    assert adjacency_while_loops(src) == ["grow"]
