@@ -10,7 +10,6 @@ invariant-bearing path.
 from .errors import (
     CongestDSError,
     DomainError,
-    EnumerationBudgetError,
     InvariantViolation,
     PrecisionError,
     PreconditionError,
@@ -33,7 +32,6 @@ __all__ = [
     "CFDS",
     "CongestDSError",
     "DomainError",
-    "EnumerationBudgetError",
     "Graph",
     "InvariantViolation",
     "PipelineParams",

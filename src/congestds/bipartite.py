@@ -1,10 +1,10 @@
-"""Distance-2 colorings and constraint splitting on bipartite hosts.
+"""Distance-2 colorings of bipartite hosts and their charged round cost.
 
 Splitting each node into a constraint copy (left) and a value copy (right)
 turns the domination constraints into a bipartite covering problem whose
 square admits colorings with far fewer colors than the square of the original
-graph.  The degree-parameterized wrappers build these hosts; this module
-colors them and splits high-degree constraint nodes.
+graph.  The degree-parameterized wrapper builds these hosts; this module
+colors them and charges the cited distributed coloring's rounds.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .errors import DomainError
 from .graph import Graph
 from .values import log_star
 
@@ -88,70 +87,3 @@ def coloring_violations(graph: Graph, coloring: Coloring) -> List[Tuple[int, int
 def coloring_round_cost(delta_l: int, delta_r: int, n: int) -> int:
     """Charged CONGEST cost of the cited distributed distance-2 coloring algorithm."""
     return delta_l * delta_r + delta_l * log_star(n)
-
-
-@dataclass
-class SplitBipartite:
-    """Bipartite graph whose left (constraint) nodes have been split.
-
-    Right ids are 0..n-1 (one value copy per original node); left split
-    copies follow.  ``left_origin[b] = (orig, copy_index)`` with copy index 0
-    for the v_1 node carrying the non-participating edges.
-    """
-
-    graph: Graph
-    left_copies: Dict[int, List[int]]
-    left_origin: Dict[int, Tuple[int, int]]
-
-
-def split_left_nodes(
-    graph: Graph,
-    participating: Dict[int, List[int]],
-    kept: Dict[int, List[int]],
-    s: int,
-) -> SplitBipartite:
-    """Split each constraint node's participating edges into chunks of size [s, 2s).
-
-    *participating[v]* lists the original-graph neighbors of v (inclusive)
-    whose value copies take part in the rounding; *kept[v]* lists the rest.
-    The v_1 copy keeps all ``kept`` edges, plus the participating ones when
-    there are fewer than s of them.  Otherwise the participating edges are
-    divided, in ascending right-node order, into floor(m/s) chunks of
-    near-equal size, one chunk per extra copy.
-    """
-    if s < 1:
-        raise DomainError(f"split parameter s must be >= 1, got {s}")
-    n = graph.n
-    edges: List[Tuple[int, int]] = []
-    left_copies: Dict[int, List[int]] = {}
-    left_origin: Dict[int, Tuple[int, int]] = {}
-    next_id = n
-    for v in range(n):
-        part = sorted(participating.get(v, []))
-        keep = sorted(kept.get(v, []))
-        chunks: List[List[int]]
-        if len(part) < s:
-            chunks = [keep + part]
-        else:
-            q = len(part) // s
-            base, extra = divmod(len(part), q)
-            sizes = [base + 1] * extra + [base] * (q - extra)
-            chunks = [keep]
-            pos = 0
-            for size in sizes:
-                chunks.append(part[pos : pos + size])
-                pos += size
-        ids = []
-        for idx, chunk in enumerate(chunks):
-            b = next_id
-            next_id += 1
-            ids.append(b)
-            left_origin[b] = (v, idx)
-            for u in chunk:
-                edges.append((b, u))
-        left_copies[v] = ids
-    return SplitBipartite(
-        graph=Graph(next_id, edges),
-        left_copies=left_copies,
-        left_origin=left_origin,
-    )

@@ -130,7 +130,7 @@ def compute_decomposition(graph: Graph, k: int) -> NetworkDecomposition:
         raise DomainError(f"separation parameter k must be >= 1, got {k}")
     if graph.n == 0:
         raise DomainError("empty graph has no decomposition")
-    d = math.ceil(math.log2(max(graph.n, 2)))
+    d = (max(graph.n, 2) - 1).bit_length()  # ceil(log2 n), exactly
     unclustered = set(range(graph.n))
     clusters: List[Cluster] = []
     for src in range(graph.n):

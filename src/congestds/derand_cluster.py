@@ -21,14 +21,8 @@ from .decomp import (
 )
 from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
-from .rounding import (
-    RoundingInstance,
-    _check_stage,
-    derandomize,
-    factor_two_instance,
-    one_shot_instance,
-)
-from .values import CFDS, ONE, fractionality, ln_upper
+from .rounding import RoundingInstance, _check_stage, derandomize, one_shot_instance
+from .values import CFDS, ONE
 
 
 @dataclass
@@ -114,7 +108,7 @@ def derandomize_clusterwise(
     )
 
 
-# -- n-parameterized wrappers ------------------------------------------------
+# -- n-parameterized wrapper -------------------------------------------------
 
 
 def n_one_shot(
@@ -128,42 +122,10 @@ def n_one_shot(
     uncover-probability bound needs; the scaled instance is derandomized
     cluster by cluster over a 2-hop decomposition.
     """
-    _check_stage(graph, xprime, F, "one-shot")
+    _check_stage(graph, xprime, F)
     inst = one_shot_instance(graph, xprime)
     outcome = derandomize_clusterwise(inst, compute_decomposition(graph, 2))
     result = outcome.result
     if not result.is_integral():
         raise InvariantViolation("one-shot output is not integral")
     return CFDS._trusted(dict(result.x), {v: ONE for v in result.x}), outcome
-
-
-def n_factor_two(
-    graph: Graph,
-    xprime: CFDS,
-    eps,
-    r: int,
-) -> Tuple[CFDS, ClusterOutcome]:
-    """Deterministic factor-two rounding of a 1/r-fractional dominating set.
-
-    Fully independent coins meet the ceil(8 ln Delta~)-wise independence that
-    the uncover-probability bound needs; the output is 2/r-fractional (values
-    either double or vanish).
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    _check_stage(graph, xprime, r, "factor-two")
-    ln_dt = ln_upper(graph.delta_tilde)
-    if Fraction(r) < 256 * eps**-3 * ln_dt:
-        raise PreconditionError(
-            f"need r >= 256 * eps^-3 * ln Delta~, got {r}"
-        )
-    inst = factor_two_instance(graph, xprime, eps, r)
-    outcome = derandomize_clusterwise(inst, compute_decomposition(graph, 2))
-    result = outcome.result
-    floor = Fraction(2, r)
-    if fractionality(result) < floor:
-        raise InvariantViolation(
-            f"factor-two output fractionality {fractionality(result)} below 2/{r}"
-        )
-    return CFDS.fds(dict(result.x)), outcome

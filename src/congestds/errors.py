@@ -17,10 +17,6 @@ class PrecisionError(CongestDSError):
     """A value is not representable at the required fixed-point width."""
 
 
-class EnumerationBudgetError(CongestDSError):
-    """An exact expectation would need more DP states than ``MAX_DP_STATES``."""
-
-
 class StructuralError(CongestDSError):
     """An internal structural invariant failed (e.g. non-terminating clustering)."""
 

@@ -5,11 +5,15 @@ rounding to an integral set.  The n-parameterized variant derandomizes over
 a network decomposition; the degree-parameterized variant over bipartite
 colorings.
 
-The paper puts fractionality-doubling stages between the two.  They exist
-as library functions (``n_factor_two``, ``delta_factor_two``), but their
-precondition r >= 256 * eps^-3 * ln Delta~ is met by no input this library
-can hold: the LP start lifts every value to at least eps1/(2 Delta), so
-r <= 2 Delta/eps1 + 1.  The one-shot stage absorbs the remaining gap.
+The paper puts fractionality-doubling ("factor-two") stages between the
+two.  They were deleted: their precondition r >= 256 * eps^-3 * ln Delta~
+is met by no input this library can hold (the LP start lifts every value to
+at least eps1/(2 Delta), so r <= 2 Delta/eps1 + 1), and where they were
+forced to run they shrank the widest covering set Delta_L only 1.4-1.7x
+while each stage cost more than a whole degree-parameterized run.  The
+one-shot stage absorbs the remaining gap.  So the degree-parameterized
+scheme's charged coloring rounds are Theta(Delta * Delta_L), about
+0.45 * Delta^2 on dense graphs, not the paper's O(Delta * polylog Delta).
 
 Each stage reports two round counts.  ``sim_rounds`` are the rounds of the
 stages implemented here, counted by each stage's schedule formula, not by a

@@ -150,11 +150,15 @@ def fractionality(d: CFDS) -> Fraction:
 
 
 def log_star(n: int) -> int:
-    """Iterated logarithm: number of log2 applications until the value <= 1."""
+    """Iterated logarithm: number of log2 applications until the value <= 1.
+
+    That is the least k whose tower 2^2^...^2 of k twos reaches n, counted
+    on integers.
+    """
     count = 0
-    x = float(n)
-    while x > 1.0:
-        x = math.log2(x)
+    t = 1
+    while t < n:
+        t = 2**t
         count += 1
     return count
 

@@ -1,4 +1,5 @@
-"""Graph corpora for property and acceptance tests, and a replay of coin fixes.
+"""Graph corpora for property and acceptance tests, a replay of coin fixes,
+and an exact coin-enumeration reference for conditional expectations.
 
 Connected graphs up to 7 nodes come from the networkx atlas; the 8-node
 connected graphs are produced by augmenting every connected 7-node graph
@@ -8,6 +9,7 @@ strong invariant bucket followed by exact isomorphism checks.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 from fractions import Fraction
@@ -21,6 +23,7 @@ from congestds.rounding import (
     RoundingInstance,
     expected_output_size,
 )
+from congestds.values import ONE, ZERO
 
 
 def _to_graph(g: nx.Graph) -> Graph:
@@ -134,10 +137,49 @@ def replay_expectations(
     """Fix the coins of a fresh law in order, one ``(node, coin)`` at a time,
     and return the exact expected output size after each fix."""
     law = IndependentCoinLaw(
-        {v: inst.p[v] for v in inst.participating()}, b=inst.iota
+        {v: inst.x[v] for v in inst.participating()}, b=inst.iota
     )
     out: List[Fraction] = []
     for v, coin in fixes:
         law.fix_coin(v, coin)
         out.append(expected_output_size(inst, law))
     return out
+
+
+def enumerate_coins(
+    inst: RoundingInstance, law: IndependentCoinLaw, u: int
+) -> Tuple[Fraction, Fraction]:
+    """``(E[Z_u], Pr(u uncovered))`` by enumerating the live coins of N[u].
+
+    Z_u is 1 if u's inclusive-neighborhood phase-1 sum falls short of c(u),
+    else u's phase-1 value.  A coin that succeeds sets a node with x > 0 to
+    1; a node without a coin keeps its x if that is 0 or 1 and is 0
+    otherwise.  Each outcome of the live coins, those at ``(good, width)``
+    with 0 < good < width, weighs the product of good/width or
+    (width - good)/width over them.
+    """
+    heads = law.heads
+    fixed: Dict[int, Fraction] = {}
+    live: List[int] = []
+    for w in inst.graph.closed_neighbors(u):
+        head = heads.get(w)
+        if head is None:
+            fixed[w] = ONE if inst.x[w] == ONE else ZERO
+        elif 0 < head[0] < head[1]:
+            live.append(w)
+        else:
+            fixed[w] = ONE if head[0] and inst.x[w] > 0 else ZERO
+    expect = uncover = ZERO
+    for bits in itertools.product((0, 1), repeat=len(live)):
+        weight = ONE
+        X = dict(fixed)
+        for w, bit in zip(live, bits):
+            good, width = heads[w]
+            weight *= Fraction(good if bit else width - good, width)
+            X[w] = ONE if bit and inst.x[w] > 0 else ZERO
+        if sum(X.values()) < inst.c[u]:
+            uncover += weight
+            expect += weight
+        else:
+            expect += weight * X[u]
+    return expect, uncover

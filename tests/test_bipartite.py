@@ -1,15 +1,11 @@
 import random
 
-import pytest
-
 from congestds.bipartite import (
     Coloring,
     coloring_round_cost,
     coloring_violations,
     greedy_distance2_coloring,
-    split_left_nodes,
 )
-from congestds.errors import DomainError
 from congestds.graph import Graph
 
 
@@ -91,40 +87,3 @@ class TestColoring:
         from congestds.values import log_star
 
         assert coloring_round_cost(3, 4, 100) == 12 + 3 * log_star(100)
-
-
-class TestSplit:
-    def test_large_constraint_split_into_chunks(self):
-        g = star(12)
-        participating = {0: list(range(1, 13))}
-        kept = {0: [0]}
-        sb = split_left_nodes(g, participating, kept, s=5)
-        copies = sb.left_copies[0]
-        # floor(12/5) = 2 chunks of 6 plus the v_1 copy with the kept edge
-        assert len(copies) == 3
-        sizes = [len(sb.graph.adj[b]) for b in copies]
-        assert sizes == [1, 6, 6]
-        assert sb.left_origin[copies[0]] == (0, 0)
-        # every participating edge appears exactly once across the chunks
-        covered = sorted(
-            u for b in copies[1:] for u in sb.graph.adj[b]
-        )
-        assert covered == list(range(1, 13))
-
-    def test_small_constraint_kept_whole(self):
-        g = star(4)
-        sb = split_left_nodes(g, {0: [1, 2, 3, 4]}, {0: [0]}, s=5)
-        copies = sb.left_copies[0]
-        assert len(copies) == 1
-        assert sb.graph.adj[copies[0]] == [0, 1, 2, 3, 4]
-
-    def test_chunk_sizes_in_range(self):
-        g = star(11)
-        sb = split_left_nodes(g, {0: list(range(1, 12))}, {0: []}, s=4)
-        sizes = [len(sb.graph.adj[b]) for b in sb.left_copies[0][1:]]
-        assert sum(sizes) == 11
-        assert all(4 <= sz < 8 for sz in sizes)
-
-    def test_bad_s(self):
-        with pytest.raises(DomainError):
-            split_left_nodes(Graph(1, []), {}, {}, s=0)

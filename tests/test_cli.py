@@ -6,7 +6,6 @@ from congestds import cli
 from congestds.cli import main
 from congestds.errors import (
     DomainError,
-    EnumerationBudgetError,
     InvariantViolation,
     PrecisionError,
     PreconditionError,
@@ -66,7 +65,6 @@ class TestPipelineCommands:
             (StructuralError, 2),
             (PrecisionError, 3),
             (PreconditionError, 3),
-            (EnumerationBudgetError, 3),
             (DomainError, 3),
         ],
     )

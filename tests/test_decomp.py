@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -131,6 +132,18 @@ class TestComputeDecomposition:
         validate_decomposition(g, nd)
         assert len(nd.clusters) == 2
         assert nd.num_colors == 1
+
+    def test_radius_is_exact_ceil_log2(self):
+        """The cluster radius d is ceil(log2 n), on both sides of every power
+        of two; a star puts all of its nodes into one cluster."""
+        for k in range(15):
+            for n in (2**k - 1, 2**k, 2**k + 1):
+                if n < 1:
+                    continue
+                star = Graph(n, [(0, i) for i in range(1, n)])
+                assert compute_decomposition(star, 2).d == math.ceil(
+                    math.log2(max(n, 2))
+                ), n
 
     def test_bad_k(self):
         with pytest.raises(DomainError):

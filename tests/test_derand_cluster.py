@@ -4,11 +4,7 @@ import pytest
 
 from congestds.bipartite import greedy_distance2_coloring
 from congestds.decomp import compute_decomposition, single_cluster_decomposition
-from congestds.derand_cluster import (
-    derandomize_clusterwise,
-    n_factor_two,
-    n_one_shot,
-)
+from congestds.derand_cluster import derandomize_clusterwise, n_one_shot
 from congestds.derand_color import derandomize_colorwise
 from congestds.errors import PreconditionError
 from congestds.graph import Graph
@@ -26,7 +22,6 @@ def fractional_instance(graph, p):
     return RoundingInstance(
         graph=graph,
         x=dict(p),
-        p=dict(p),
         c={v: Fraction(1) for v in range(graph.n)},
     )
 
@@ -37,7 +32,6 @@ class TestDerandomizeClusterwise:
         inst = RoundingInstance(
             graph=g,
             x={0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
-            p={0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
             c={v: Fraction(1) for v in range(3)},
         )
         out = derandomize_clusterwise(inst, single_cluster_decomposition(g))
@@ -117,15 +111,3 @@ class TestWrappers:
         xp = CFDS.fds({v: Fraction(1, 5) for v in range(5)})
         with pytest.raises(PreconditionError):
             n_one_shot(g, xp, F=3)
-
-    def test_n_factor_two_deterministic_case(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        xp = CFDS.fds({0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
-        result, _ = n_factor_two(g, xp, eps=1, r=300)
-        assert result.x[1] == 1
-        assert validate_cfds(g, result) == []
-
-    def test_n_factor_two_r_too_small(self):
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(PreconditionError):
-            n_factor_two(g, CFDS.fds({0: HALF, 1: HALF}), eps=HALF, r=10)

@@ -3,11 +3,7 @@ from fractions import Fraction
 import pytest
 
 from congestds.bipartite import Coloring, greedy_distance2_coloring
-from congestds.derand_color import (
-    delta_factor_two,
-    delta_one_shot,
-    derandomize_colorwise,
-)
+from congestds.derand_color import delta_one_shot, derandomize_colorwise
 from congestds.errors import PreconditionError
 from congestds.graph import Graph
 from congestds.rounding import RoundingInstance
@@ -24,7 +20,6 @@ def fractional_instance(graph, p):
     return RoundingInstance(
         graph=graph,
         x=dict(p),
-        p=dict(p),
         c={v: Fraction(1) for v in range(graph.n)},
     )
 
@@ -35,7 +30,6 @@ class TestDerandomizeColorwise:
         inst = RoundingInstance(
             graph=g,
             x={0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
-            p={0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
             c={v: Fraction(1) for v in range(3)},
         )
         out = derandomize_colorwise(inst, Coloring(color={}, num_colors=0))
@@ -116,30 +110,3 @@ class TestDeltaOneShot:
         xp = CFDS.fds({v: Fraction(1, 4) for v in range(5)})
         with pytest.raises(PreconditionError):
             delta_one_shot(g, xp, F=4)
-
-
-class TestDeltaFactorTwo:
-    def test_k2_scales_without_coins(self):
-        g = Graph(2, [(0, 1)])
-        xp = CFDS.fds({0: HALF, 1: HALF})
-        result, outcome = delta_factor_two(g, xp, eps=Fraction(9, 10), r=244)
-        assert validate_cfds(g, result) == []
-        for v in range(2):
-            assert HALF <= result.x[v] <= Fraction(19, 20) + Fraction(1, 2**10)
-        assert outcome.decisions == []
-
-    def test_saturated_values_stay_integral(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        xp = CFDS.fds({0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
-        result, _ = delta_factor_two(g, xp, eps=1, r=300)
-        assert result.x[1] == 1
-
-    def test_r_too_small_rejected(self):
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(PreconditionError):
-            delta_factor_two(g, CFDS.fds({0: HALF, 1: HALF}), eps=HALF, r=10)
-
-    def test_bad_eps_rejected(self):
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(PreconditionError):
-            delta_factor_two(g, CFDS.fds({0: HALF, 1: HALF}), eps=2, r=1000)

@@ -19,7 +19,7 @@ from congestds.decomp import compute_decomposition
 from congestds.derand_cluster import derandomize_clusterwise
 from congestds.derand_color import delta_one_shot, derandomize_colorwise
 from congestds.generators import grid, petersen
-from congestds.rounding import RoundingInstance, one_shot_instance
+from congestds.rounding import one_shot_instance
 from congestds.values import CFDS
 
 
@@ -31,20 +31,9 @@ def local_fds(graph):
     })
 
 
-def skewed_instance(graph):
-    """Coins with ratio x/p below 1, some deterministic nodes, c below 1."""
-    x, p, c = {}, {}, {}
-    for v in range(graph.n):
-        x[v] = Fraction(1 + v % 3, 16)
-        p[v] = Fraction(1) if v % 5 == 4 else Fraction(1, 2) + Fraction(v % 4, 16)
-        c[v] = Fraction(3, 4) if v % 2 else Fraction(1)
-    return RoundingInstance(graph=graph, x=x, p=p, c=c)
-
-
 def instances():
     for name, g in (("petersen", petersen()), ("grid4x4", grid(4, 4))):
         yield f"{name}-one-shot", one_shot_instance(g, local_fds(g))
-        yield f"{name}-skewed", skewed_instance(g)
 
 
 def digest(*parts):
@@ -72,16 +61,12 @@ def fix_rows(fixes):
 
 COLORWISE = {
     "petersen-one-shot": "e0d6ab5cdd2d422eaed557695a115a7cbe4d9dd7454472403b657cb7d3b96878",
-    "petersen-skewed": "5a73055ed4dd074ec195a765121983b33692e1fa68ebcab79628696d3ae384da",
     "grid4x4-one-shot": "dcc6cfd7afa54ea57b99abcacd7783d1406c633e39bc30c6ba775955b6e1e255",
-    "grid4x4-skewed": "a33d7908637b9ecbaccc5e4b202a5dc735e1cf86785e812fa2c19c672a8bf114",
 }
 
 CLUSTERWISE = {
     "petersen-one-shot": "3f8657030884fd220c90a547127fc6b0b099e4165c08eda1588fabfa970b6bc7",
-    "petersen-skewed": "f650456c7f7e92c7909cfd311b8b587e9a4546a4dd63cdebbb38841a1c732610",
     "grid4x4-one-shot": "691056e43396babfd460d6086113f301c7c04844b7dc8f1447164df59a317069",
-    "grid4x4-skewed": "0a01a0119f03d9acae5d6043c5236083169ae577802045e466dd0060d3c6ee96",
 }
 
 DELTA_ONE_SHOT = "85f38f8768c9a868c97567813f6c9d8f5842bcddd738ae8faa37685d486233ca"

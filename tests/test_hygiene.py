@@ -1,7 +1,8 @@
 """Source hygiene: every imported name, parameter and definition is used,
-definitions only tests use are listed, no function keeps a functools cache,
-the derandomizers leave coin fixing to rounding, and graph searches are left
-to ``Graph.bfs_distances``."""
+definitions only tests use are listed, every library exception class is
+raised somewhere, no function keeps a functools cache, the derandomizers
+leave coin fixing to rounding, and graph searches are left to
+``Graph.bfs_distances``."""
 
 import ast
 from pathlib import Path
@@ -191,14 +192,7 @@ def test_detects_unreferenced_definition():
 
 #: library definitions that only tests reference, each kept on purpose
 TEST_ONLY = {
-    # the paper's fractionality-doubling stages, which no pipeline reaches
-    # (ROADMAP item 7)
-    "n_factor_two",
-    "delta_factor_two",
-    # exact references that tests check the fast paths and the cluster
-    # scheme against
-    "exact_uncover_prob",
-    "RoundingInstance.deterministic_value",
+    # the exact reference that tests check the cluster scheme against
     "single_cluster_decomposition",
     # helpers that tests build and inspect graphs with
     "Graph.distance",
@@ -227,6 +221,68 @@ def test_detects_test_only_definition():
     library = [stage, caller]
     assert unreferenced_definitions([stage], library) == ["left_behind"]
     assert unreferenced_definitions([stage], library + [tests]) == []
+
+
+def raised_names(source: str):
+    """Names of the exceptions *source* raises, as ``raise E(...)``,
+    ``raise E`` or ``raise module.E(...)``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                out.add(exc.attr)
+    return out
+
+
+def dead_exception_classes(errors_source: str, library):
+    """Classes *errors_source* defines, other than the base class
+    ``CongestDSError``, that no source in *library* raises."""
+    raised = set().union(*(raised_names(source) for source in library))
+    return sorted(
+        node.name
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+        and node.name != "CongestDSError"
+        and node.name not in raised
+    )
+
+
+def test_no_dead_exception_classes():
+    """An error class that nothing raises is an exit code and an export that
+    no run can reach."""
+    library = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    errors = (SRC / "errors.py").read_text(encoding="utf-8")
+    assert dead_exception_classes(errors, library) == []
+
+
+def test_detects_dead_exception_class():
+    errors = (
+        "class CongestDSError(Exception): pass\n"
+        "class Called(CongestDSError): pass\n"
+        "class Qualified(CongestDSError): pass\n"
+        "class Bare(CongestDSError): pass\n"
+        "class Caught(CongestDSError): pass\n"
+        "class Dead(CongestDSError): pass\n"
+    )
+    library = (
+        "from . import errors\n"
+        "from .errors import Bare, Called, Caught, Dead\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise Called('boom')\n"
+        "    if x is None:\n"
+        "        raise errors.Qualified('boom') from None\n"
+        "    raise Bare\n"
+        "def g():\n"
+        "    try:\n"
+        "        f(1)\n"
+        "    except Caught:\n"
+        "        raise\n"
+    )
+    assert dead_exception_classes(errors, [errors, library]) == ["Caught", "Dead"]
 
 
 #: the coin-fixing machinery, which only rounding.derandomize may drive

@@ -189,12 +189,23 @@ class TestFractionality:
         assert fractionality(CFDS.fds({0: Fraction(1), 1: Fraction(1)})) == 1
 
 
+def float_log_star(n):
+    """The iterated logarithm counted on floats, as log_star once was."""
+    count, x = 0, float(n)
+    while x > 1.0:
+        x = math.log2(x)
+        count += 1
+    return count
+
+
 def test_log_star():
-    assert log_star(1) == 0
-    assert log_star(2) == 1
-    assert log_star(4) == 2
-    assert log_star(16) == 3
-    assert log_star(65536) == 4
+    """Right at the tower's steps, and equal to the float count on both
+    sides of every power of two up to 2**20."""
+    want = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 16: 3, 17: 4, 65536: 4, 65537: 5}
+    assert {n: log_star(n) for n in want} == want
+    for k in range(21):
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            assert log_star(n) == float_log_star(n), n
 
 
 def test_ln_upper_is_upper_bound():
