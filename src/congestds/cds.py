@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .errors import (
     DomainError,
@@ -21,12 +21,15 @@ from .errors import (
 from .graph import Graph
 
 
-def is_dominating(graph: Graph, S: Sequence[int]) -> bool:
-    covered: Set[int] = set()
+def undominated(graph: Graph, S: Iterable[int]) -> List[int]:
+    """Nodes with no member of S in their inclusive neighborhood, ascending;
+    S dominates the graph iff the list is empty."""
+    covered = [False] * graph.n
     for v in S:
-        covered.add(v)
-        covered.update(graph.adj[v])
-    return len(covered) == graph.n
+        covered[v] = True
+        for u in graph.adj[v]:
+            covered[u] = True
+    return [v for v in range(graph.n) if not covered[v]]
 
 
 # -- ruling subsets ----------------------------------------------------------
@@ -300,7 +303,7 @@ def build_cds(graph: Graph, S: Sequence[int]) -> CdsResult:
     if not graph.is_connected():
         raise PreconditionError("connected dominating sets need a connected graph")
     S = sorted(set(S))
-    if not is_dominating(graph, S):
+    if undominated(graph, S):
         raise PreconditionError("S must be a dominating set")
     if graph.n == 1:
         return CdsResult(
@@ -316,7 +319,7 @@ def build_cds(graph: Graph, S: Sequence[int]) -> CdsResult:
     for cp in paths:
         sbar.update(cp.path[1:-1])
     sbar_list = sorted(sbar)
-    if not is_dominating(graph, sbar_list):
+    if undominated(graph, sbar_list):
         raise InvariantViolation("S-bar is not dominating")
     if not graph.subgraph_is_connected(sbar_list):
         raise InvariantViolation("S-bar does not induce a connected subgraph")

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .graph import format_graph, load_graph
 from .oracles import CDS_CAP, brute_force_cds, brute_force_mds
-from .cds import is_dominating
+from .cds import undominated
 from .generators import generate_graph
 from .pipeline import (
     DEFAULT_OPT_CAP,
@@ -146,7 +146,7 @@ def _cmd_verify(args) -> int:
     for v in nodes:
         if not 0 <= v < graph.n:
             raise DomainError(f"node {v} out of range for n={graph.n}")
-    dominating = is_dominating(graph, nodes)
+    dominating = not undominated(graph, nodes)
     connected = graph.subgraph_is_connected(nodes) if nodes else False
     ok = dominating and (connected or not args.connected)
     obj = {

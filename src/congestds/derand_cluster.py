@@ -22,7 +22,7 @@ from .decomp import (
 from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
 from .rounding import RoundingInstance, _check_stage, derandomize, one_shot_instance
-from .values import CFDS, ONE
+from .values import CFDS
 
 
 @dataclass
@@ -125,7 +125,6 @@ def n_one_shot(
     _check_stage(graph, xprime, F)
     inst = one_shot_instance(graph, xprime)
     outcome = derandomize_clusterwise(inst, compute_decomposition(graph, 2))
-    result = outcome.result
-    if not result.is_integral():
+    if not outcome.result.is_integral():
         raise InvariantViolation("one-shot output is not integral")
-    return CFDS._trusted(dict(result.x), {v: ONE for v in result.x}), outcome
+    return outcome.result, outcome

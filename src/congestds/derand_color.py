@@ -23,7 +23,7 @@ from .bipartite import (
 from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
 from .rounding import RoundingInstance, _check_stage, derandomize, scale_values
-from .values import CFDS, ONE, ZERO, ln_upper, validate_cfds
+from .values import CFDS, iota_for, ln_upper, validate_cfds
 
 
 @dataclass
@@ -132,12 +132,12 @@ def delta_one_shot(
     covering = _covering_sets(graph, xprime, F)
     edges = [(v, n + u) for v in range(n) for u in covering[v]]
     host = Graph(2 * n, edges)
+    # in units of 2**-iota at the host's width: constraint copies hold c = 1
+    # and no coin, value copies the scaled x' and c = 0
     scaled = scale_values(xprime, ln_upper(dt), 2 * n)
-    x = {b: ZERO for b in range(2 * n)}
-    c = {b: ZERO for b in range(2 * n)}
-    for v in range(n):
-        x[n + v] = scaled[v]
-        c[v] = ONE
+    one = 1 << iota_for(2 * n)
+    x = {b: 0 if b < n else scaled[b - n] for b in range(2 * n)}
+    c = {b: one if b < n else 0 for b in range(2 * n)}
     inst = RoundingInstance(graph=host, x=x, c=c)
     S = inst.participating()
     coloring = greedy_distance2_coloring(host, S)
@@ -149,11 +149,9 @@ def delta_one_shot(
     delta_l = max((host.degree(v) for v in range(n)), default=0)
     delta_r = max((host.degree(b) for b in range(n, 2 * n)), default=0)
     outcome.charged_rounds = coloring_round_cost(delta_l, delta_r, n)
-    # the lift of values phase 2 produced: Fractions in [0, 1]
-    mapped = {
-        v: max(outcome.result.x[v], outcome.result.x[n + v]) for v in range(n)
-    }
-    result = CFDS._trusted(mapped, {v: ONE for v in range(n)})
+    result = CFDS.fds(
+        {v: max(outcome.result.x[v], outcome.result.x[n + v]) for v in range(n)}
+    )
     if not result.is_integral():
         raise InvariantViolation("one-shot output is not integral")
     bad = validate_cfds(graph, result)

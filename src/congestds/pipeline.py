@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .cds import build_cds
+from .cds import build_cds, undominated
 from .derand_cluster import n_one_shot
 from .derand_color import delta_one_shot
 from .errors import DomainError, InvariantViolation, PreconditionError
 from .graph import Graph
 from .lp_init import initial_fds, lp_fractional_opt, lp_round_charge
 from .oracles import brute_force_mds
-from .values import CFDS, ONE, fractionality, ln_upper, validate_cfds
+from .values import ONE, fractionality, ln_upper
 
 DEFAULT_OPT_CAP = 24
 
@@ -239,7 +239,7 @@ def _run_mds(
     )
 
     ds = sorted(ds_cfds.support())
-    bad = validate_cfds(graph, CFDS.from_set(range(graph.n), ds))
+    bad = undominated(graph, ds)
     report.valid = not bad
     if bad:
         raise InvariantViolation(f"final set not dominating at {bad}")
@@ -291,9 +291,7 @@ def run_cds(
     )
     report.final_size = len(result.sbar)
     report.connected = graph.subgraph_is_connected(result.sbar)
-    report.valid = report.connected and not validate_cfds(
-        graph, CFDS.from_set(range(graph.n), result.sbar)
-    )
+    report.valid = report.connected and not undominated(graph, result.sbar)
     report.extras["num_clusters"] = len(result.centers)
     report.extras["ds_size"] = len(ds)
     report.ratio = None

@@ -1,14 +1,19 @@
 """Randomized one-shot rounding and its exact conditional-expectation oracle.
 
-Phase 1 flips one coin per node: node v is set to 1 with probability x(v),
-else to 0, so nodes with x(v) in {0, 1} hold no coin; phase 2 puts every
-node whose constraint is still unsatisfied at value 1.  :func:`derandomize`
-fixes the coins one at a time, by the method of conditional expectations,
-in the order a derandomizer gives; the two derandomizers differ only in
-that order and its round cost.  :class:`IndependentCoinLaw` holds every
-coin's state, and :func:`conditional_expected_value` computes exact
-conditional expectations given its fixes in closed form: one success
-covers any constraint c <= 1 on its own.
+Every value here is an integer count of units 2**-iota, the O(log n)-bit
+fixed-point message of :mod:`values`, from :func:`scale_values` to the
+rounded output.  Phase 1 flips one coin per node: node v is set to 1 with
+probability x(v), else to 0, so nodes with x(v) in {0, 1} hold no coin;
+phase 2 puts every node whose constraint is still unsatisfied at value 1.
+Every phase-1 value is 0 or 1 and every constraint is at most 1, so a
+constraint c(v) > 0 is unsatisfied exactly when N[v] holds no 1.
+:func:`derandomize` fixes the coins one at a time, by the method of
+conditional expectations, in the order a derandomizer gives; the two
+derandomizers differ only in that order and its round cost.
+:class:`IndependentCoinLaw` holds every coin's state, and
+:func:`conditional_expected_value` computes exact conditional expectations
+given its fixes in closed form, as an integer numerator over a power of
+two.
 """
 
 from __future__ import annotations
@@ -19,102 +24,42 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, PrecisionError, PreconditionError
 from .graph import Graph
-from .values import (
-    CFDS,
-    ONE,
-    ZERO,
-    as_fractions,
-    fraction_sum,
-    iota_for,
-    ln_upper,
-    validate_cfds,
-)
+from .values import CFDS, ONE, ZERO, iota_for, ln_upper, validate_cfds
 
 
 @dataclass
 class RoundingInstance:
     """One rounding step: host graph plus per-node value and constraint.
 
-    x(v) is also the probability that v's coin succeeds.  The host's node
-    count sets the fixed-point width ``iota`` for quantization.
+    ``x`` and ``c`` are integers in [0, ``one``], counts of units 2**-iota
+    at the width of the host's node count; x(v) is also the probability
+    that v's coin succeeds.
     """
 
     graph: Graph
-    x: Dict[int, Fraction]
-    c: Dict[int, Fraction]
+    x: Dict[int, int]
+    c: Dict[int, int]
 
     def __post_init__(self):
-        self.x = as_fractions(self.x)
-        self.c = as_fractions(self.c)
         nodes = set(range(self.graph.n))
         if set(self.x) != nodes or set(self.c) != nodes:
             raise DomainError("x, c must cover exactly the host graph's nodes")
         self.iota = iota_for(max(self.graph.n, 2))
-        one = 1 << self.iota
-        # every value in integer units of 2**-iota, which every expectation
-        # reads, so they are computed once
-        x_units: Dict[int, int] = {}
-        self.c_units: Dict[int, int] = {}
-        for v in range(self.graph.n):
-            for label, val, units in (
-                ("x", self.x[v], x_units),
-                ("c", self.c[v], self.c_units),
-            ):
-                num, den = val.numerator, val.denominator
-                if num < 0 or num > den:
-                    raise DomainError(f"{label}({v}) = {val} outside [0, 1]")
-                if one % den:
+        self.one = 1 << self.iota
+        for label, values in (("x", self.x), ("c", self.c)):
+            for v, val in values.items():
+                if not isinstance(val, int):
                     raise PrecisionError(
-                        f"{label}({v}) = {val} is not transmittable at width "
-                        f"{self.iota}"
+                        f"{label}({v}) = {val} is not a whole number of units "
+                        f"2**-{self.iota}"
                     )
-                units[v] = num * (one // den)
-        # the phase-1 value of a successful coin: 1 for every x > 0
-        self.ratio_units = {v: one if xu else 0 for v, xu in x_units.items()}
-        # what a node with x in {0, 1} contributes without a coin
-        self.det_units = {v: one if xu == one else 0 for v, xu in x_units.items()}
+                if not 0 <= val <= self.one:
+                    raise DomainError(f"{label}({v}) = {val} outside [0, {self.one}]")
 
     def participating(self) -> List[int]:
         """Nodes with 0 < x < 1: the ones whose coin matters."""
-        det = self.det_units
-        return [v for v, r in self.ratio_units.items() if r and not det[v]]
-
-
-def phase1(inst: RoundingInstance, coins: Dict[int, int]) -> Dict[int, Fraction]:
-    """Apply the coin outcomes: X_v = 1 on success, 0 on failure."""
-    X: Dict[int, Fraction] = {}
-    for v in range(inst.graph.n):
-        if inst.det_units[v]:
-            X[v] = ONE
-        elif not inst.ratio_units[v]:
-            X[v] = ZERO
-        else:
-            if v not in coins:
-                raise DomainError(f"participating node {v} has no coin")
-            X[v] = ONE if coins[v] else ZERO
-    return X
-
-
-def phase2(inst: RoundingInstance, X: Dict[int, Fraction]) -> CFDS:
-    """Raise every node with an unsatisfied constraint to value 1.
-
-    *X* holds phase-1 values, multiples of 2**-iota in [0, 1]; the sums run
-    on their integer units.
-    """
-    one = 1 << inst.iota
-    units: Dict[int, int] = {}
-    for v, val in X.items():
-        if one % val.denominator:
-            raise PrecisionError(f"X({v}) = {val} is not a multiple of 2**-{inst.iota}")
-        units[v] = val.numerator * (one // val.denominator)
-        if not 0 <= units[v] <= one:
-            raise DomainError(f"X({v}) = {val} outside [0, 1]")
-    adj = inst.graph.adj
-    z: Dict[int, Fraction] = {}
-    for v in range(inst.graph.n):
-        total = units[v] + sum(units[u] for u in adj[v])
-        z[v] = ONE if total < inst.c_units[v] else X[v]
-    return CFDS._trusted(z, dict(inst.c))
+        x, one = self.x, self.one
+        return [v for v in range(self.graph.n) if 0 < x[v] < one]
 
 
 def _check_stage(graph: Graph, xprime: CFDS, F: int) -> None:
@@ -129,55 +74,47 @@ def _check_stage(graph: Graph, xprime: CFDS, F: int) -> None:
         raise PreconditionError("one-shot rounding needs at least one edge")
 
 
-def scale_values(xprime: CFDS, factor: Fraction, ambient_n: int) -> Dict[int, Fraction]:
-    """x(v) = factor * x'(v), set to 1 when it reaches 1 and otherwise
-    quantized up at the width of *ambient_n*."""
+def scale_values(xprime: CFDS, factor: Fraction, ambient_n: int) -> Dict[int, int]:
+    """factor * x'(v) in units of 2**-iota at the width of *ambient_n*:
+    ``one`` when it reaches 1, and otherwise rounded up to a whole unit."""
     one = 1 << iota_for(max(ambient_n, 2))
-    x: Dict[int, Fraction] = {}
+    x: Dict[int, int] = {}
     for v, val in xprime.x.items():
         num = factor.numerator * val.numerator
         den = factor.denominator * val.denominator
-        x[v] = ONE if num >= den else Fraction(-((-num * one) // den), one)
+        x[v] = one if num >= den else -((-num * one) // den)
     return x
 
 
 def one_shot_instance(graph: Graph, xprime: CFDS) -> RoundingInstance:
-    """Scale values by ln(max inclusive-neighborhood size)."""
+    """Scale values by ln(max inclusive-neighborhood size); x' is rounded as
+    a fractional dominating set, so every constraint is 1."""
     delta_tilde = graph.delta_tilde
     if delta_tilde < 2:
         raise DomainError(
             f"one-shot rounding needs max inclusive neighborhood >= 2, got {delta_tilde}"
         )
     x = scale_values(xprime, ln_upper(delta_tilde), graph.n)
-    return RoundingInstance(graph=graph, x=x, c=dict(xprime.c))
+    one = 1 << iota_for(max(graph.n, 2))
+    return RoundingInstance(graph=graph, x=x, c={v: one for v in x})
 
 
 # -- the coin law and its fixes ---------------------------------------------
-
-
-def coin_threshold(p: Fraction, b: int) -> int:
-    """p * 2^b as an integer; PrecisionError if p is not a multiple of 2^-b."""
-    scaled = Fraction(p) * (1 << b)
-    if scaled.denominator != 1:
-        raise PrecisionError(f"probability {p} is not a multiple of 2**-{b}")
-    t = int(scaled)
-    if not 0 <= t <= (1 << b):
-        raise DomainError(f"probability {p} outside [0, 1]")
-    return t
 
 
 class IndependentCoinLaw:
     """Fully independent coins, one per participating node.
 
     ``heads[v] = (good, width)``: coin v is 1 with probability good/width
-    given what is fixed so far.  Before any fix it is p(v), a multiple of
-    2**-b (:func:`derandomize` passes p = x); a fixed coin reads (1, 1) or
-    (0, 1).  Derandomizers fix coins in place and try a branch by saving a
-    node's :meth:`state` and restoring it afterwards.
+    given what is fixed so far.  Before any fix it is p(v) / 2**b for the
+    integer threshold p(v) in [0, 2**b] (:func:`derandomize` passes the
+    units of x); a fixed coin reads (1, 1) or (0, 1).  Derandomizers fix
+    coins in place and try a branch by saving a node's :meth:`state` and
+    restoring it afterwards.
     """
 
-    def __init__(self, p: Dict[int, Fraction], b: int):
-        self.heads = {v: (coin_threshold(val, b), 1 << b) for v, val in p.items()}
+    def __init__(self, p: Dict[int, int], b: int):
+        self.heads = {v: (t, 1 << b) for v, t in p.items()}
 
     def fix_coin(self, v: int, value: int) -> None:
         """Fix v's coin outright."""
@@ -218,47 +155,44 @@ class IndependentCoinLaw:
 
 def conditional_expected_value(
     inst: RoundingInstance, law: IndependentCoinLaw, u: int
-) -> Fraction:
-    """E[Z_u] where Z_u = 1 if u ends phase 1 uncovered, else X_u.
+) -> Tuple[int, int]:
+    """E[Z_u] as ``(numerator, denominator)``, where Z_u = 1 if u ends phase 1
+    uncovered, else X_u.
 
     A successful coin sets its node to 1, which meets c(u) <= 1 on its own,
-    so u is uncovered exactly when the resolved base sum of N[u] falls short
-    of c(u) and every live coin of N[u] fails; E[Z_u] has a closed form in
-    the live coins' (good, width).
+    so u is uncovered exactly when c(u) > 0, no resolved node of N[u] is 1
+    and every live coin of N[u] fails.  The denominator is the product of
+    the live coins' widths, a power of two for every law this module builds.
     """
-    cap = inst.c_units[u]
     heads = law.heads
-    ratio_units = inst.ratio_units
-    one = 1 << inst.iota
-    base = 0
+    x = inst.x
+    one = inst.one
+    covered = not inst.c[u]
     # Pr(every live coin fails) = miss / den
     miss = den = 1
     for w in inst.graph.closed_neighbors(u):
         head = heads.get(w)
         if head is None:
-            base += inst.det_units[w]
+            covered = covered or x[w] == one
             continue
         good, width = head
         if 0 < good < width:
             miss *= width - good
             den *= width
         elif good:
-            base += ratio_units[w]
-    # in units of 2**-iota over den: an uncovered u counts 1, a covered one X_u
-    uncovered = miss if base < cap else 0
+            covered = True
+    # an uncovered u counts 1, a covered one X_u
+    uncovered = 0 if covered else miss
     head = heads.get(u)
-    if head is not None and 0 < head[0] < head[1]:
-        # a live u is covered whenever its own coin succeeds
-        good, width = head
-        return Fraction(
-            uncovered * one + good * ratio_units[u] * (den // width),
-            den * one,
-        )
     if head is None:
-        xu = inst.det_units[u]
+        xu = x[u] == one
     else:
-        xu = ratio_units[u] if head[0] else 0
-    return Fraction(uncovered * one + (den - uncovered) * xu, den * one)
+        good, width = head
+        if 0 < good < width:
+            # a live u is covered whenever its own coin succeeds
+            return uncovered + good * (den // width), den
+        xu = good > 0
+    return (den if xu else uncovered), den
 
 
 def branch_sum(
@@ -276,23 +210,46 @@ def branch_sum(
     scale, step = unit.denominator, unit.numerator
     total = 0
     for u in nodes:
-        alpha = conditional_expected_value(inst, law, u)
-        # most alphas are 0 once neighbors are fixed
-        if alpha.numerator:
-            total -= (-alpha.numerator * scale) // (alpha.denominator * step)
+        num, den = conditional_expected_value(inst, law, u)
+        # most expectations are 0 once neighbors are fixed
+        if num:
+            total -= (-num * scale) // (den * step)
     return Fraction(total * step, scale)
 
 
 def expected_output_size(inst: RoundingInstance, law: IndependentCoinLaw) -> Fraction:
-    """Exact expected phase-2 output size: sum of E[Z_v] over all nodes."""
-    return fraction_sum(
-        conditional_expected_value(inst, law, v) for v in range(inst.graph.n)
-    )
+    """Exact expected phase-2 output size: sum of E[Z_v] over all nodes.
+
+    Every denominator is a power of two, so the largest one so far is a
+    common denominator; one Fraction is built for the sum.
+    """
+    total, common = 0, 1
+    for v in range(inst.graph.n):
+        num, den = conditional_expected_value(inst, law, v)
+        if den > common:
+            total *= den // common
+            common = den
+        total += num * (common // den)
+    return Fraction(total, common)
 
 
-def run_phases(inst: RoundingInstance, law: IndependentCoinLaw) -> CFDS:
-    """Phase 1 with fully determined coins, then phase 2."""
-    return phase2(inst, phase1(inst, law.final_coins()))
+def rounded_output(inst: RoundingInstance, law: IndependentCoinLaw) -> CFDS:
+    """Phase 1 with every coin of *law* fixed, then phase 2.
+
+    A node's phase-1 value is 1 if its x is 1 or its coin succeeded, else 0;
+    phase 2 raises a node to 1 iff c > 0 and N[v] holds no phase-1 1.
+    """
+    coins = law.final_coins()
+    one = inst.one
+    ones = {v for v, xv in inst.x.items() if xv == one or coins.get(v)}
+    adj = inst.graph.adj
+    x: Dict[int, Fraction] = {}
+    c: Dict[int, Fraction] = {}
+    for v in range(inst.graph.n):
+        cv = inst.c[v]
+        x[v] = ONE if v in ones or (cv and ones.isdisjoint(adj[v])) else ZERO
+        c[v] = Fraction(cv, one)
+    return CFDS(x, c)
 
 
 def derandomize(
@@ -320,9 +277,7 @@ def derandomize(
     """
     n = max(inst.graph.n, 2)
     unit = Fraction(1, n**10)
-    law = IndependentCoinLaw(
-        {v: inst.x[v] for v in inst.participating()}, b=inst.iota
-    )
+    law = IndependentCoinLaw({v: inst.x[v] for v in inst.participating()}, inst.iota)
     initial = expected_output_size(inst, law)
     decisions: List[Tuple[int, Fraction, Fraction, int]] = []
     for v in order:
@@ -339,7 +294,7 @@ def derandomize(
         coin = 1 if s1 < s0 else 0
         law.fix_coin(v, coin)
         decisions.append((v, s0, s1, coin))
-    result = run_phases(inst, law)
+    result = rounded_output(inst, law)
     bad = validate_cfds(inst.graph, result)
     if bad:
         raise InvariantViolation(f"derandomized output violates constraints at {bad}")

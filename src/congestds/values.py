@@ -3,9 +3,10 @@
 All invariant-bearing values are dyadic rationals: multiples of ``2**-iota``
 where ``iota`` is the smallest exponent with ``2**-iota <= n**-10`` for the
 ambient node count ``n``.  Such a value fits in a single O(log n)-bit message,
-so it can be exchanged in one round.  Values are held as
-:class:`fractions.Fraction`; hot loops (``validate_cfds`` here, the rounding
-step and the LP repair) work on their integer numerators over a common
+so it can be exchanged in one round.  A :class:`CFDS`, what one stage hands
+the next, holds :class:`fractions.Fraction` values; the rounding step works
+on integer counts of units ``2**-iota`` from its scaled input to its output,
+and ``validate_cfds`` and the LP repair on integer numerators over a common
 denominator.  No floating point touches a correctness path.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List
+from typing import Dict, Iterable, List
 
 from .errors import DomainError
 
@@ -40,14 +41,6 @@ def quantize_up(value, n: int) -> Fraction:
         raise DomainError(f"value {frac} outside [0, 1]")
     iota = iota_for(n)
     return Fraction(-((-frac.numerator << iota) // frac.denominator), 1 << iota)
-
-
-def as_fractions(values: Dict[int, Any]) -> Dict[int, Fraction]:
-    """*values* with every entry that is not already a Fraction wrapped."""
-    return {
-        v: val if isinstance(val, Fraction) else Fraction(val)
-        for v, val in values.items()
-    }
 
 
 def fraction_sum(values: Iterable[Fraction]) -> Fraction:
@@ -78,11 +71,12 @@ class CFDS:
     c: Dict[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.x = as_fractions(self.x)
-        if not self.c:
-            self.c = {v: ONE for v in self.x}
-        else:
-            self.c = as_fractions(self.c)
+        # wrap every entry that is not already a Fraction
+        self.x, self.c = [
+            {v: val if isinstance(val, Fraction) else Fraction(val)
+             for v, val in values.items()}
+            for values in (self.x, self.c or {v: ONE for v in self.x})
+        ]
         if set(self.c) != set(self.x):
             raise DomainError("x and c must be defined on the same node set")
         for label, values in (("x", self.x), ("c", self.c)):
@@ -104,20 +98,6 @@ class CFDS:
     def fds(cls, x: Dict[int, Fraction]) -> "CFDS":
         """FDS: all constraints equal 1."""
         return cls(x=dict(x), c={v: ONE for v in x})
-
-    @classmethod
-    def _trusted(cls, x: Dict[int, Fraction], c: Dict[int, Fraction]) -> "CFDS":
-        """A CFDS over values the caller has just checked: Fractions in
-        [0, 1] on one node set.  It skips ``__post_init__``'s re-wrapping and
-        range checks; callers with unchecked values use the constructor."""
-        d = cls.__new__(cls)
-        d.x, d.c = x, c
-        return d
-
-    @classmethod
-    def from_set(cls, nodes: Iterable[int], chosen: Iterable[int]) -> "CFDS":
-        chosen = set(chosen)
-        return cls.fds({v: (ONE if v in chosen else ZERO) for v in nodes})
 
 
 def validate_cfds(graph, d: CFDS) -> List[int]:

@@ -1,5 +1,6 @@
-"""Graph corpora for property and acceptance tests, a replay of coin fixes,
-and an exact coin-enumeration reference for conditional expectations.
+"""Graph corpora for property and acceptance tests, builders of rounding
+instances and integral CFDSs from plain values, a replay of coin fixes, and
+an exact coin-enumeration reference for conditional expectations.
 
 Connected graphs up to 7 nodes come from the networkx atlas; the 8-node
 connected graphs are produced by augmenting every connected 7-node graph
@@ -13,7 +14,7 @@ import itertools
 import random
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -23,7 +24,7 @@ from congestds.rounding import (
     RoundingInstance,
     expected_output_size,
 )
-from congestds.values import ONE, ZERO
+from congestds.values import CFDS, ONE, ZERO, iota_for
 
 
 def _to_graph(g: nx.Graph) -> Graph:
@@ -131,6 +132,33 @@ def random_connected(
     return tuple(out)
 
 
+def unit_instance(
+    graph: Graph, x: Dict[int, Fraction], c: Optional[Dict[int, Fraction]] = None
+) -> RoundingInstance:
+    """The rounding instance of values and constraints given as numbers in
+    [0, 1] (every constraint 1 unless *c* is given), each converted to units
+    of 2**-iota at the host's width; it must be a multiple of one unit."""
+    one = 1 << iota_for(max(graph.n, 2))
+
+    def units(values):
+        out = {}
+        for v, val in values.items():
+            scaled = Fraction(val) * one
+            assert scaled.denominator == 1, f"{val} is not a multiple of 2**-iota"
+            out[v] = int(scaled)
+        return out
+
+    if c is None:
+        c = {v: ONE for v in range(graph.n)}
+    return RoundingInstance(graph=graph, x=units(x), c=units(c))
+
+
+def cfds_from_set(nodes: Iterable[int], chosen: Iterable[int]) -> CFDS:
+    """The integral FDS that is 1 on *chosen* and 0 on the rest of *nodes*."""
+    chosen = set(chosen)
+    return CFDS.fds({v: (ONE if v in chosen else ZERO) for v in nodes})
+
+
 def replay_expectations(
     inst: RoundingInstance, fixes: Sequence[Tuple[int, int]]
 ) -> List[Fraction]:
@@ -156,19 +184,21 @@ def enumerate_coins(
     1; a node without a coin keeps its x if that is 0 or 1 and is 0
     otherwise.  Each outcome of the live coins, those at ``(good, width)``
     with 0 < good < width, weighs the product of good/width or
-    (width - good)/width over them.
+    (width - good)/width over them.  Values and constraints are read as
+    Fractions of the instance's units.
     """
     heads = law.heads
+    x = {w: Fraction(inst.x[w], inst.one) for w in inst.graph.closed_neighbors(u)}
     fixed: Dict[int, Fraction] = {}
     live: List[int] = []
     for w in inst.graph.closed_neighbors(u):
         head = heads.get(w)
         if head is None:
-            fixed[w] = ONE if inst.x[w] == ONE else ZERO
+            fixed[w] = ONE if x[w] == ONE else ZERO
         elif 0 < head[0] < head[1]:
             live.append(w)
         else:
-            fixed[w] = ONE if head[0] and inst.x[w] > 0 else ZERO
+            fixed[w] = ONE if head[0] and x[w] > 0 else ZERO
     expect = uncover = ZERO
     for bits in itertools.product((0, 1), repeat=len(live)):
         weight = ONE
@@ -176,8 +206,8 @@ def enumerate_coins(
         for w, bit in zip(live, bits):
             good, width = heads[w]
             weight *= Fraction(good if bit else width - good, width)
-            X[w] = ONE if bit and inst.x[w] > 0 else ZERO
-        if sum(X.values()) < inst.c[u]:
+            X[w] = ONE if bit and x[w] > 0 else ZERO
+        if sum(X.values()) < Fraction(inst.c[u], inst.one):
             uncover += weight
             expect += weight
         else:

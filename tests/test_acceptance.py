@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from congestds.bipartite import greedy_distance2_coloring
-from congestds.cds import is_dominating
+from congestds.cds import undominated
 from congestds.decomp import compute_decomposition, single_cluster_decomposition
 from congestds.derand_cluster import derandomize_clusterwise
 from congestds.derand_color import derandomize_colorwise
@@ -23,9 +23,10 @@ from congestds.lp_init import initial_fds
 from congestds.oracles import brute_force_cds
 from congestds.pipeline import run_cds, run_mds_delta, run_mds_n
 from congestds.rounding import IndependentCoinLaw, one_shot_instance
-from congestds.values import CFDS, ZERO, iota_for, ln_upper, validate_cfds
+from congestds.values import CFDS, ZERO, ln_upper, validate_cfds
 
 from corpus_util import (
+    cfds_from_set,
     connected_atlas,
     connected_corpus,
     enumerate_coins,
@@ -72,7 +73,7 @@ def test_criterion_1_validity(main_runs):
     rows, elapsed = main_runs
     bad = 0
     for g, scheme, ds, report in rows:
-        if not report.valid or validate_cfds(g, CFDS.from_set(range(g.n), ds)):
+        if not report.valid or validate_cfds(g, cfds_from_set(range(g.n), ds)):
             bad += 1
     ok = bad == 0 and elapsed < 300
     _emit(
@@ -129,7 +130,7 @@ def _expectation_bound(inst):
     law = IndependentCoinLaw(
         {v: inst.x[v] for v in inst.participating()}, b=inst.iota
     )
-    A = sum(inst.x.values(), ZERO)
+    A = Fraction(sum(inst.x.values()), inst.one)
     uncover = sum(
         (enumerate_coins(inst, law, v)[1] for v in range(inst.graph.n)), ZERO
     )
@@ -210,10 +211,10 @@ def test_criterion_5_uncover_probability_bounds():
         dt = g.delta_tilde
         xp = CFDS.fds({v: Fraction(1, dt) for v in range(g.n)})
         inst = one_shot_instance(g, xp)
-        p = float(inst.x[0])
+        p = inst.x[0] / inst.one
         coins = rng.random((T, g.n)) < p
         law = IndependentCoinLaw(
-            {v: inst.x[v] for v in inst.participating()}, b=iota_for(g.n)
+            {v: inst.x[v] for v in inst.participating()}, b=inst.iota
         )
         bound = 1 / dt + 4 * math.sqrt((1 / dt) / T)
         for v in range(g.n):
@@ -271,7 +272,7 @@ def test_criterion_9_cds():
         clusters = report.extras["num_clusters"]
         ok = (
             report.valid
-            and is_dominating(g, sbar)
+            and not undominated(g, sbar)
             and g.subgraph_is_connected(sbar)
             and len(sbar) <= 3 * ds_size + 2 * max(clusters - 1, 0)
         )

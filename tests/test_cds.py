@@ -1,3 +1,6 @@
+import math
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
+
 import pytest
 
 from congestds.cds import (
@@ -5,12 +8,12 @@ from congestds.cds import (
     build_cds,
     connector_paths,
     default_ruling_params,
-    is_dominating,
     ruling_subset,
+    undominated,
 )
 from congestds.errors import PreconditionError, StructuralError
 from congestds.generators import generate_graph, petersen
-from congestds.graph import Graph
+from congestds.graph import MAX_NODES, Graph
 from congestds.oracles import brute_force_cds
 
 
@@ -112,7 +115,7 @@ class TestBuildCds:
     def test_p7(self):
         g = path(7)
         res = build_cds(g, [1, 3, 5])
-        assert is_dominating(g, res.sbar)
+        assert undominated(g, res.sbar) == []
         assert g.subgraph_is_connected(res.sbar)
         assert len(res.sbar) <= 3 * 3 + 2 * len(res.paths)
         opt, _ = brute_force_cds(g)
@@ -121,7 +124,7 @@ class TestBuildCds:
     def test_c6(self):
         g = generate_graph("cycle", {"n": 6})
         res = build_cds(g, [0, 3])
-        assert is_dominating(g, res.sbar)
+        assert undominated(g, res.sbar) == []
         assert g.subgraph_is_connected(res.sbar)
 
     def test_star(self):
@@ -135,7 +138,7 @@ class TestBuildCds:
 
         _, S = brute_force_mds(g)
         res = build_cds(g, S)
-        assert is_dominating(g, res.sbar)
+        assert undominated(g, res.sbar) == []
         assert g.subgraph_is_connected(res.sbar)
         opt, _ = brute_force_cds(g)
         assert len(res.sbar) <= 3 * len(S) + 2 * len(res.paths)
@@ -157,3 +160,67 @@ class TestBuildCds:
         a1, b1 = default_ruling_params(16)
         a2, b2 = default_ruling_params(1024)
         assert a1 <= a2 and b1 <= b2 and a1 <= b1 and a2 <= b2
+
+
+def test_undominated_names_uncovered_nodes():
+    g = path(5)
+    assert undominated(g, [0]) == [2, 3, 4]
+    assert undominated(g, [1, 3]) == []
+    assert undominated(g, []) == [0, 1, 2, 3, 4]
+
+
+LN2 = Decimal(2).ln(Context(prec=80))
+
+
+def exact_ruling_params(n):
+    """default_ruling_params(n) from exact ceilings of log2^2(n)/8 and
+    log2^3(n)/8, and how far the two quotients lie from an integer.
+
+    At a power of two the logarithm is an integer and the ceilings are
+    integer divisions (margin None).  Elsewhere log2 n is irrational, so
+    80-digit logarithms, which err by about 1e-78, decide the ceilings
+    whenever the returned margin is far larger than that.
+    """
+    m = max(n, 2)
+    if m & (m - 1) == 0:
+        k = m.bit_length() - 1
+        square, cube, margin = -(-k * k // 8), -(-(k**3) // 8), None
+    else:
+        with localcontext() as ctx:
+            ctx.prec = 80
+            log = Decimal(m).ln() / LN2
+            quotients = [log**2 / 8, log**3 / 8]
+            square, cube = (
+                int(q.to_integral_value(rounding=ROUND_CEILING)) for q in quotients
+            )
+            margin = min(
+                min(q - q.to_integral_value(rounding=ROUND_FLOOR),
+                    q.to_integral_value(rounding=ROUND_CEILING) - q)
+                for q in quotients
+            )
+    alpha = max(2, square)
+    return (alpha, max(alpha, cube)), margin
+
+
+def test_default_ruling_params_exact():
+    """The float ceilings equal exact ones within 2 of every integer
+    boundary of log2^2(n)/8 and log2^3(n)/8 and at 2^k - 1, 2^k and 2^k + 1,
+    for every node count the file format accepts."""
+    top = math.log2(MAX_NODES)
+    centers = [2**k for k in range(21)]
+    for power in (2, 3):
+        k = 1
+        while (8 * k) ** (1 / power) <= top + 1:
+            centers.append(2 ** ((8 * k) ** (1 / power)))
+            k += 1
+    candidates = sorted({
+        n
+        for center in centers
+        for n in range(math.floor(center) - 2, math.ceil(center) + 3)
+        if 1 <= n <= MAX_NODES
+    })
+    assert len(candidates) > 5000
+    for n in candidates:
+        want, margin = exact_ruling_params(n)
+        assert margin is None or margin > Decimal("1e-60"), n
+        assert default_ruling_params(n) == want, n

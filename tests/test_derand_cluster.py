@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from corpus_util import unit_instance
+
 from congestds.bipartite import greedy_distance2_coloring
 from congestds.decomp import compute_decomposition, single_cluster_decomposition
 from congestds.derand_cluster import derandomize_clusterwise, n_one_shot
 from congestds.derand_color import derandomize_colorwise
 from congestds.errors import PreconditionError
 from congestds.graph import Graph
-from congestds.rounding import RoundingInstance
 from congestds.values import CFDS, validate_cfds
 
 HALF = Fraction(1, 2)
@@ -19,21 +20,13 @@ def cycle(n):
 
 
 def fractional_instance(graph, p):
-    return RoundingInstance(
-        graph=graph,
-        x=dict(p),
-        c={v: Fraction(1) for v in range(graph.n)},
-    )
+    return unit_instance(graph, p)
 
 
 class TestDerandomizeClusterwise:
     def test_no_participants_passthrough(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        inst = RoundingInstance(
-            graph=g,
-            x={0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
-            c={v: Fraction(1) for v in range(3)},
-        )
+        inst = unit_instance(g, {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
         out = derandomize_clusterwise(inst, single_cluster_decomposition(g))
         assert out.result.x[1] == 1
         assert out.fixes == []

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from corpus_util import unit_instance
+
 from congestds.bipartite import Coloring, greedy_distance2_coloring
 from congestds.derand_color import delta_one_shot, derandomize_colorwise
 from congestds.errors import PreconditionError
 from congestds.graph import Graph
-from congestds.rounding import RoundingInstance
 from congestds.values import CFDS, validate_cfds
 
 HALF = Fraction(1, 2)
@@ -17,21 +18,13 @@ def cycle(n):
 
 
 def fractional_instance(graph, p):
-    return RoundingInstance(
-        graph=graph,
-        x=dict(p),
-        c={v: Fraction(1) for v in range(graph.n)},
-    )
+    return unit_instance(graph, p)
 
 
 class TestDerandomizeColorwise:
     def test_no_participants_passthrough(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        inst = RoundingInstance(
-            graph=g,
-            x={0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
-            c={v: Fraction(1) for v in range(3)},
-        )
+        inst = unit_instance(g, {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
         out = derandomize_colorwise(inst, Coloring(color={}, num_colors=0))
         assert out.result.x == {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}
         assert out.simulated_rounds == 0

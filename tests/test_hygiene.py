@@ -1,8 +1,8 @@
 """Source hygiene: every imported name, parameter and definition is used,
 definitions only tests use are listed, every library exception class is
 raised somewhere, no function keeps a functools cache, the derandomizers
-leave coin fixing to rounding, and graph searches are left to
-``Graph.bfs_distances``."""
+leave coin fixing to rounding, the expectation oracle builds no Fraction,
+and graph searches are left to ``Graph.bfs_distances``."""
 
 import ast
 from pathlib import Path
@@ -286,7 +286,9 @@ def test_detects_dead_exception_class():
 
 
 #: the coin-fixing machinery, which only rounding.derandomize may drive
-COIN_FIXING = {"branch_sum", "expected_output_size", "run_phases", "IndependentCoinLaw"}
+COIN_FIXING = {
+    "branch_sum", "expected_output_size", "rounded_output", "IndependentCoinLaw"
+}
 
 
 def imported_names(source: str):
@@ -303,6 +305,44 @@ def imported_names(source: str):
 def test_derandomizers_only_order_coins(name):
     source = (SRC / f"{name}.py").read_text(encoding="utf-8")
     assert sorted(imported_names(source) & COIN_FIXING) == []
+
+
+def fraction_calls(source: str, name: str):
+    """Lines on which the top-level function *name* calls ``Fraction(...)``
+    or ``<module>.Fraction(...)``."""
+    return sorted(
+        call.lineno
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef) and fn.name == name
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) == "Fraction"
+             or getattr(call.func, "attr", None) == "Fraction")
+    )
+
+
+def test_expectation_oracle_builds_no_fraction():
+    """``conditional_expected_value`` runs 2|N[v]| times per coin; it
+    returns an integer numerator and denominator, and its callers build one
+    Fraction per sum."""
+    source = (SRC / "rounding.py").read_text(encoding="utf-8")
+    assert fraction_calls(source, "conditional_expected_value") == []
+
+
+def test_detects_fraction_call():
+    src = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "def oracle(a, b):\n"
+        "    if a:\n"
+        "        return Fraction(a, b)\n"
+        "    return fractions.Fraction(b)\n"
+        "def caller(a, b):\n"
+        "    return Fraction(*oracle(a, b))\n"
+    )
+    assert fraction_calls(src, "oracle") == [5, 6]
+    assert fraction_calls(src, "caller") == [8]
+    assert fraction_calls(src, "missing") == []
 
 
 def adjacency_while_loops(source: str):

@@ -7,7 +7,7 @@ import pytest
 import congestds.derand_color as derand_color
 import congestds.lp_init as lp_init
 from congestds.bipartite import coloring_round_cost
-from congestds.cds import is_dominating
+from congestds.cds import undominated
 from congestds.decomp import decomposition_charge
 from congestds.errors import DomainError, PreconditionError
 from congestds.generators import complete, generate_graph, gnp_connected, petersen
@@ -42,7 +42,7 @@ class TestMdsPipelines:
     def test_complete_graph(self, runner):
         g = complete(5)
         ds, report = runner(g, Fraction(1, 2))
-        assert is_dominating(g, ds)
+        assert undominated(g, ds) == []
         assert len(ds) <= 2  # bound allows slack over OPT = 1
         assert report.valid
 
@@ -59,7 +59,7 @@ class TestMdsPipelines:
     def test_star(self, runner):
         g = generate_graph("star", {"m": 9})
         ds, report = runner(g, Fraction(1, 2))
-        assert is_dominating(g, ds)
+        assert undominated(g, ds) == []
         bound = (1 + Fraction(1, 2)) * (2 + ln_upper(10)) * 1
         assert len(ds) <= bound
 
@@ -74,7 +74,7 @@ class TestMdsPipelines:
     )
     def test_high_degree_runs(self, runner, graph):
         ds, report = runner(graph, Fraction(1, 2))
-        assert report.valid and is_dominating(graph, ds)
+        assert report.valid and not undominated(graph, ds)
         assert report.extras["opt_kind"] == "lp-estimate"
 
     def test_ratio_bound_holds(self, runner):
@@ -106,7 +106,7 @@ class TestCdsPipeline:
     def test_petersen(self):
         g = petersen()
         sbar, report = run_cds(g, Fraction(1, 2))
-        assert is_dominating(g, sbar)
+        assert undominated(g, sbar) == []
         assert g.subgraph_is_connected(sbar)
         assert report.connected and report.valid
         assert report.stages[-1].name == "cds-extension"
@@ -115,7 +115,7 @@ class TestCdsPipeline:
     def test_grid(self):
         g = generate_graph("grid", {"rows": 3, "cols": 3})
         sbar, report = run_cds(g, Fraction(1, 2))
-        assert is_dominating(g, sbar)
+        assert undominated(g, sbar) == []
         assert g.subgraph_is_connected(sbar)
 
     def test_disconnected_rejected(self):
@@ -231,5 +231,5 @@ def test_one_lp_solve_per_graph_object(monkeypatch):
 def test_delta_pipeline_high_degree():
     g = gnp_connected(200, 0.2, 1)
     ds, report = run_mds_delta(g, Fraction(1, 2))
-    assert report.valid and is_dominating(g, ds)
+    assert report.valid and not undominated(g, ds)
     assert report.extras["opt_kind"] == "lp-estimate"

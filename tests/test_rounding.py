@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus_util import enumerate_coins, replay_expectations
+from corpus_util import enumerate_coins, replay_expectations, unit_instance
 
 from congestds.errors import DomainError, PrecisionError
 from congestds.graph import Graph
@@ -17,9 +17,7 @@ from congestds.rounding import (
     derandomize,
     expected_output_size,
     one_shot_instance,
-    phase1,
-    phase2,
-    run_phases,
+    rounded_output,
     scale_values,
 )
 from congestds.values import CFDS, iota_for, ln_upper, quantize_up, validate_cfds
@@ -28,57 +26,62 @@ HALF = Fraction(1, 2)
 
 
 def k2_half():
-    g = Graph(2, [(0, 1)])
-    return RoundingInstance(
-        graph=g,
-        x={0: HALF, 1: HALF},
-        c={0: Fraction(1), 1: Fraction(1)},
-    )
+    return unit_instance(Graph(2, [(0, 1)]), {0: HALF, 1: HALF})
+
+
+def fixed_law(coins, b=4):
+    """A law over the coins of *coins*, each at 1/2 and then fixed to it."""
+    law = IndependentCoinLaw({v: 1 << (b - 1) for v in coins}, b=b)
+    for v, coin in coins.items():
+        law.fix_coin(v, coin)
+    return law
+
+
+def expectation(inst, law, u):
+    """conditional_expected_value as one Fraction."""
+    return Fraction(*conditional_expected_value(inst, law, u))
 
 
 class TestInstanceValidation:
     def test_missing_node_rejected(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(DomainError):
-            RoundingInstance(graph=g, x={0: HALF}, c={0: HALF})
+            RoundingInstance(graph=g, x={0: 512}, c={0: 512})
 
     def test_participating(self):
-        inst = RoundingInstance(
-            graph=Graph(3, [(0, 1), (1, 2)]),
-            x={0: Fraction(0), 1: HALF, 2: Fraction(1)},
-            c={v: Fraction(1) for v in range(3)},
+        inst = unit_instance(
+            Graph(3, [(0, 1), (1, 2)]), {0: Fraction(0), 1: HALF, 2: Fraction(1)}
         )
         assert inst.participating() == [1]
-        assert inst.det_units == {0: 0, 1: 0, 2: 1 << inst.iota}
+        assert inst.one == 1 << inst.iota
+        assert inst.x == {0: 0, 1: inst.one // 2, 2: inst.one}
 
     def test_error_cases(self):
-        g = Graph(2, [(0, 1)])  # iota = 10
-        ok = {0: HALF, 1: HALF}
+        g = Graph(2, [(0, 1)])  # iota = 10, one = 1024
+        ok = {0: 512, 1: 512}
 
         def build(x=ok, c=ok):
             return RoundingInstance(graph=g, x=dict(x), c=dict(c))
 
         with pytest.raises(
-            PrecisionError, match=r"^x\(1\) = 1/3 is not transmittable at width 10$"
+            PrecisionError, match=r"^x\(1\) = 1/3 is not a whole number of units 2\*\*-10$"
         ):
-            build(x={0: HALF, 1: Fraction(1, 3)})
-        with pytest.raises(PrecisionError, match=r"^c\(0\) = 1/2048 is not"):
-            build(c={0: Fraction(1, 2048), 1: HALF})
-        with pytest.raises(DomainError, match=r"^x\(0\) = -1/2 outside \[0, 1\]$"):
-            build(x={0: -HALF, 1: HALF})
-        with pytest.raises(DomainError, match=r"^x\(1\) = 3/2 outside \[0, 1\]$"):
-            build(x={0: HALF, 1: Fraction(3, 2)})
-        with pytest.raises(DomainError, match=r"^c\(1\) = 5/4 outside \[0, 1\]$"):
-            build(c={0: HALF, 1: Fraction(5, 4)})
-        # a range error comes before a precision error of the same value
-        with pytest.raises(DomainError, match=r"^c\(0\) = 4/3 outside"):
-            build(c={0: Fraction(4, 3), 1: HALF})
+            build(x={0: 512, 1: Fraction(1, 3)})
+        with pytest.raises(PrecisionError, match=r"^c\(0\) = 0.5 is not"):
+            build(c={0: 0.5, 1: 512})
+        with pytest.raises(DomainError, match=r"^x\(0\) = -512 outside \[0, 1024\]$"):
+            build(x={0: -512, 1: 512})
+        with pytest.raises(DomainError, match=r"^x\(1\) = 1536 outside \[0, 1024\]$"):
+            build(x={0: 512, 1: 1536})
+        with pytest.raises(DomainError, match=r"^c\(1\) = 1280 outside \[0, 1024\]$"):
+            build(c={0: 512, 1: 1280})
 
     def test_units_match_fraction_reference(self):
-        """Success values, deterministic values, constraint units and
-        participation equal their Fraction definitions on random dyadic
-        instances: a success is worth 1, and only x = 1 counts without a
-        coin."""
+        """Participation and the rounded output of random coin outcomes equal
+        their Fraction definitions on random dyadic instances: phase 1 puts
+        a node at 1 if its x is 1 or its coin succeeded, and phase 2 raises
+        every node whose inclusive-neighborhood phase-1 sum falls short of
+        its constraint."""
         rng = random.Random("instance-units")
         for _ in range(100):
             n = rng.randint(1, 8)
@@ -90,52 +93,49 @@ class TestInstanceValidation:
                 pick = [0, 1, one, one // 2, rng.randint(0, one)]
                 x[v] = Fraction(rng.choice(pick), one)
                 c[v] = Fraction(rng.choice(pick), one)
-            inst = RoundingInstance(graph=g, x=x, c=c)
-            for v in range(n):
-                assert inst.ratio_units[v] == (one if x[v] > 0 else 0)
-                assert inst.det_units[v] == (one if x[v] == 1 else 0)
-                assert inst.c_units[v] == c[v] * one
-            assert inst.participating() == [v for v in range(n) if 0 < x[v] < 1]
+            inst = unit_instance(g, x, c)
+            S = [v for v in range(n) if 0 < x[v] < 1]
+            assert inst.participating() == S
+            coins = {v: rng.randint(0, 1) for v in S}
+            X = {v: 1 if x[v] == 1 or coins.get(v) else 0 for v in range(n)}
+            want = {
+                v: 1 if X[v] + sum(X[u] for u in g.adj[v]) < c[v] else X[v]
+                for v in range(n)
+            }
+            out = rounded_output(inst, fixed_law(coins))
+            assert out.x == want
+            assert out.c == c
 
 
 class TestPhases:
     def test_phase1_success_and_failure(self):
-        inst = k2_half()
-        assert phase1(inst, {0: 1, 1: 0}) == {0: Fraction(1), 1: Fraction(0)}
+        # with every constraint 0, phase 2 raises nothing
+        inst = unit_instance(
+            Graph(2, [(0, 1)]), {0: HALF, 1: HALF}, {0: Fraction(0), 1: Fraction(0)}
+        )
+        out = rounded_output(inst, fixed_law({0: 1, 1: 0}))
+        assert out.x == {0: Fraction(1), 1: Fraction(0)}
 
     def test_phase1_missing_coin(self):
+        law = IndependentCoinLaw({0: 8, 1: 8}, b=4)
+        law.fix_coin(0, 1)
         with pytest.raises(DomainError):
-            phase1(k2_half(), {0: 1})
+            rounded_output(k2_half(), law)
 
     def test_phase2_raises_uncovered(self):
         inst = k2_half()
-        out = phase2(inst, phase1(inst, {0: 0, 1: 0}))
+        out = rounded_output(inst, fixed_law({0: 0, 1: 0}))
         assert out.x == {0: Fraction(1), 1: Fraction(1)}
         assert validate_cfds(inst.graph, out) == []
 
     def test_phase2_keeps_covered(self):
-        inst = k2_half()
-        out = phase2(inst, phase1(inst, {0: 1, 1: 0}))
+        out = rounded_output(k2_half(), fixed_law({0: 1, 1: 0}))
         assert out.x == {0: Fraction(1), 1: Fraction(0)}
-
-    def test_phase2_rejects_values_off_the_grid(self):
-        inst = k2_half()  # iota = 10
-        with pytest.raises(PrecisionError, match=r"^X\(1\) = 1/3 is not"):
-            phase2(inst, {0: HALF, 1: Fraction(1, 3)})
-
-    def test_phase2_rejects_values_outside_unit_range(self):
-        # phase 2 builds its output without re-checking it, so it checks X
-        inst = k2_half()
-        with pytest.raises(DomainError, match=r"^X\(0\) = 2 outside"):
-            phase2(inst, {0: Fraction(2), 1: HALF})
 
     def test_output_always_valid(self):
         inst = k2_half()
         for coins in itertools.product((0, 1), repeat=2):
-            law = IndependentCoinLaw({0: HALF, 1: HALF}, b=4)
-            law.fix_coin(0, coins[0])
-            law.fix_coin(1, coins[1])
-            out = run_phases(inst, law)
+            out = rounded_output(inst, fixed_law(dict(enumerate(coins))))
             assert validate_cfds(inst.graph, out) == []
 
 
@@ -146,13 +146,14 @@ class TestInstanceBuilders:
         inst = one_shot_instance(g, xp)
         target = Fraction(1, 3) * ln_upper(3)
         for v in range(5):
-            assert inst.x[v] == quantize_up(target, 5)
+            assert Fraction(inst.x[v], inst.one) == quantize_up(target, 5)
+        assert inst.c == {v: inst.one for v in range(5)}
 
     def test_one_shot_caps_at_one(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])  # delta_tilde 4, ln 4 > 1
         xp = CFDS.fds({v: Fraction(1) for v in range(4)})
         inst = one_shot_instance(g, xp)
-        assert inst.x == {v: Fraction(1) for v in range(4)}
+        assert inst.x == {v: inst.one for v in range(4)}
 
     def test_one_shot_needs_nontrivial_neighborhood(self):
         with pytest.raises(DomainError):
@@ -160,7 +161,7 @@ class TestInstanceBuilders:
 
     def test_scale_values_matches_fraction_reference(self):
         """Integer scaling equals factor * x' capped at 1 and quantized up,
-        on dyadic and non-dyadic x' and both kinds of factor."""
+        in units, on dyadic and non-dyadic x' and both kinds of factor."""
         rng = random.Random("scale-values")
         for _ in range(200):
             n = rng.randint(1, 40)
@@ -170,27 +171,31 @@ class TestInstanceBuilders:
                 [ln_upper(rng.randint(2, 60)), 1 + Fraction(1, rng.randint(1, 9))]
             )
             x = scale_values(xp, factor, n)
+            one = 1 << iota_for(max(n, 2))
             for v in range(n):
                 val = factor * xp.x[v]
                 want = Fraction(1) if val >= 1 else quantize_up(val, max(n, 2))
-                assert x[v] == want
+                assert type(x[v]) is int
+                assert Fraction(x[v], one) == want
 
 
 class TestExactExpectations:
     def test_uncover_prob_k2(self):
         inst = k2_half()
-        law = IndependentCoinLaw({0: HALF, 1: HALF}, b=4)
+        law = IndependentCoinLaw({0: 8, 1: 8}, b=4)
         assert enumerate_coins(inst, law, 0)[1] == Fraction(1, 4)
 
     def test_conditional_value_k2(self):
         inst = k2_half()
-        law = IndependentCoinLaw({0: HALF, 1: HALF}, b=4)
+        law = IndependentCoinLaw({0: 8, 1: 8}, b=4)
         # Z_0 = 1 when both fail (prob 1/4), else X_0 = coin_0
-        assert conditional_expected_value(inst, law, 0) == Fraction(3, 4)
+        num, den = conditional_expected_value(inst, law, 0)
+        assert Fraction(num, den) == Fraction(3, 4)
+        assert den & (den - 1) == 0  # a power of two
 
     def test_conditioning_on_coin(self):
         inst = k2_half()
-        law = IndependentCoinLaw({0: HALF, 1: HALF}, b=4)
+        law = IndependentCoinLaw({0: 8, 1: 8}, b=4)
         fresh = law.state(0)
         law.fix_coin(0, 1)
         assert enumerate_coins(inst, law, 0) == (Fraction(1), Fraction(0))
@@ -203,10 +208,8 @@ class TestExactExpectations:
     def test_law_of_total_expectation(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         p = {v: Fraction(1, 4) for v in range(4)}
-        inst = RoundingInstance(
-            graph=g, x=dict(p), c={v: Fraction(1) for v in range(4)}
-        )
-        law = IndependentCoinLaw(p, b=4)
+        inst = unit_instance(g, p)
+        law = IndependentCoinLaw({v: 4 for v in range(4)}, b=4)
         total = expected_output_size(inst, law)
         branch = Fraction(0)
         fresh = law.state(1)
@@ -221,19 +224,19 @@ class TestExactExpectations:
     def test_matches_exhaustive_enumeration(self):
         g = Graph(3, [(0, 1), (1, 2)])
         p = {0: HALF, 1: Fraction(1, 4), 2: HALF}
-        inst = RoundingInstance(
-            graph=g, x=dict(p), c={v: Fraction(1) for v in range(3)}
-        )
+        inst = unit_instance(g, p)
+        thresholds = {v: int(p[v] * 16) for v in range(3)}
         total = Fraction(0)
         for coins in itertools.product((0, 1), repeat=3):
             w = Fraction(1)
-            law = IndependentCoinLaw(p, b=4)
+            law = IndependentCoinLaw(thresholds, b=4)
             for v in range(3):
                 w *= p[v] if coins[v] else 1 - p[v]
                 law.fix_coin(v, coins[v])
-            out = run_phases(inst, law)
+            out = rounded_output(inst, law)
             total += w * out.size
-        assert expected_output_size(inst, IndependentCoinLaw(p, b=4)) == total
+        law = IndependentCoinLaw(thresholds, b=4)
+        assert expected_output_size(inst, law) == total
 
     def test_per_node_values_match_enumeration(self):
         # coins of different probabilities, a node with x = 1, a node with
@@ -243,9 +246,10 @@ class TestExactExpectations:
              3: HALF, 4: Fraction(5, 16), 5: Fraction(0)}
         c = {0: Fraction(3, 4), 1: Fraction(1), 2: HALF, 3: Fraction(1),
              4: Fraction(5, 8), 5: Fraction(1)}
-        inst = RoundingInstance(graph=g, x=x, c=c)
+        inst = unit_instance(g, x, c)
         S = inst.participating()
-        law = IndependentCoinLaw({v: x[v] for v in S}, b=4)
+        thresholds = {v: int(x[v] * 16) for v in S}
+        law = IndependentCoinLaw(thresholds, b=4)
         fixed = {3: 1}
         free = [v for v in S if v not in fixed]
         expect = {v: Fraction(0) for v in range(6)}
@@ -256,8 +260,11 @@ class TestExactExpectations:
             w = Fraction(1)
             for v, bit in zip(free, bits):
                 w *= x[v] if bit else 1 - x[v]
-            X = phase1(inst, coins)
-            out = phase2(inst, X)
+            X = {v: 1 if x[v] == 1 or coins.get(v) else 0 for v in range(6)}
+            outcome = IndependentCoinLaw(thresholds, b=4)
+            for v, coin in coins.items():
+                outcome.fix_coin(v, coin)
+            out = rounded_output(inst, outcome)
             for v in range(6):
                 expect[v] += w * out.x[v]
                 if X[v] + sum(X[u] for u in g.adj[v]) < c[v]:
@@ -265,7 +272,7 @@ class TestExactExpectations:
         for v, coin in fixed.items():
             law.fix_coin(v, coin)
         for v in range(6):
-            assert conditional_expected_value(inst, law, v) == expect[v]
+            assert expectation(inst, law, v) == expect[v]
             assert enumerate_coins(inst, law, v) == (expect[v], uncover[v])
 
     def test_branch_sum_equals_fraction_ceilings(self):
@@ -290,12 +297,11 @@ class TestExactExpectations:
             nodes = rng.sample(range(n), rng.randint(1, n))
             want = Fraction(0)
             for u in nodes:
-                alpha = conditional_expected_value(inst, law, u)
+                alpha = expectation(inst, law, u)
                 want += Fraction(math.ceil(alpha * width**10), width**10)
             assert branch_sum(inst, law, nodes, unit) == want
             total = sum(
-                (conditional_expected_value(inst, law, u) for u in range(n)),
-                Fraction(0),
+                (expectation(inst, law, u) for u in range(n)), Fraction(0)
             )
             assert expected_output_size(inst, law) == total
 
@@ -336,11 +342,9 @@ def delta_host(graph, xprime):
     host = Graph(2 * n, [(v, n + u) for v in range(n)
                          for u in graph.closed_neighbors(v)])
     scaled = scale_values(xprime, ln_upper(graph.delta_tilde), 2 * n)
-    zero = {b: Fraction(0) for b in range(2 * n)}
-    x, c = dict(zero), dict(zero)
-    for v in range(n):
-        x[n + v] = scaled[v]
-        c[v] = Fraction(1)
+    one = 1 << iota_for(2 * n)
+    x = {b: 0 if b < n else scaled[b - n] for b in range(2 * n)}
+    c = {b: one if b < n else 0 for b in range(2 * n)}
     return RoundingInstance(graph=host, x=x, c=c)
 
 
@@ -365,7 +369,7 @@ class TestClosedForm:
             law = random_law(rng, inst)
             for u in range(inst.graph.n):
                 want, _ = enumerate_coins(inst, law, u)
-                assert conditional_expected_value(inst, law, u) == want
+                assert expectation(inst, law, u) == want
 
 
 class TestDerandomize:
@@ -420,10 +424,6 @@ class TestDerandomize:
 
     def test_order_rejects_a_node_without_a_coin(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        inst = RoundingInstance(
-            graph=g,
-            x={0: HALF, 1: Fraction(1), 2: Fraction(0)},
-            c={v: Fraction(1) for v in range(3)},
-        )
+        inst = unit_instance(g, {0: HALF, 1: Fraction(1), 2: Fraction(0)})
         with pytest.raises(DomainError):
             derandomize(inst, [0, 1])

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from corpus_util import cfds_from_set
+
 from congestds.derand_cluster import n_one_shot
 from congestds.derand_color import delta_one_shot
 from congestds.errors import DomainError
@@ -102,8 +104,8 @@ class TestCFDS:
         assert all(type(val) is Fraction for val in [*d.x.values(), *d.c.values()])
 
     def test_trusted_outputs_equal_checked_ones(self):
-        # the one-shot stages build their outputs without the constructor's
-        # checks; each must equal what the checking constructor makes
+        # the one-shot stages build their outputs from integer units; each
+        # must equal what the checking constructor makes of it
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
         xp = CFDS.fds({v: Fraction(1, 3) for v in range(6)})
         outs = []
@@ -170,7 +172,7 @@ class TestCFDS:
         assert d.size == Fraction(3, 4)
         assert d.support() == [0, 2]
         assert not d.is_integral()
-        assert CFDS.from_set(range(3), [1]).is_integral()
+        assert cfds_from_set(range(3), [1]).is_integral()
 
 
 class TestFractionality:
