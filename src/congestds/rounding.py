@@ -9,18 +9,18 @@ Every phase-1 value is 0 or 1 and every constraint is at most 1, so a
 constraint c(v) > 0 is unsatisfied exactly when N[v] holds no 1.
 :func:`derandomize` fixes the coins one at a time, by the method of
 conditional expectations, in the order a derandomizer gives; the two
-derandomizers differ only in that order and its round cost.
-:class:`IndependentCoinLaw` holds every coin's state, and
-:func:`conditional_expected_value` computes exact conditional expectations
-given its fixes in closed form, as an integer numerator over a power of
-two.
+derandomizers differ only in that order and its round cost.  The coins
+fixed so far are a plain dict, node -> 0 or 1; a node absent from it reads
+its coin from x.  :func:`conditional_expected_value` computes exact
+conditional expectations given those fixes in closed form, as an integer
+numerator over a power of two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, PrecisionError, PreconditionError
 from .graph import Graph
@@ -99,105 +99,53 @@ def one_shot_instance(graph: Graph, xprime: CFDS) -> RoundingInstance:
     return RoundingInstance(graph=graph, x=x, c={v: one for v in x})
 
 
-# -- the coin law and its fixes ---------------------------------------------
-
-
-class IndependentCoinLaw:
-    """Fully independent coins, one per participating node.
-
-    ``heads[v] = (good, width)``: coin v is 1 with probability good/width
-    given what is fixed so far.  Before any fix it is p(v) / 2**b for the
-    integer threshold p(v) in [0, 2**b] (:func:`derandomize` passes the
-    units of x); a fixed coin reads (1, 1) or (0, 1).  Derandomizers fix
-    coins in place and try a branch by saving a node's :meth:`state` and
-    restoring it afterwards.
-    """
-
-    def __init__(self, p: Dict[int, int], b: int):
-        self.heads = {v: (t, 1 << b) for v, t in p.items()}
-
-    def fix_coin(self, v: int, value: int) -> None:
-        """Fix v's coin outright."""
-        if self.resolved_coin(v) not in (None, value):
-            raise DomainError(f"coin of node {v} already fixed differently")
-        self.heads[v] = (int(value), 1)
-
-    def state(self, v: int) -> Tuple[int, int]:
-        """v's fixes so far, for :meth:`restore`."""
-        return self.heads[v]
-
-    def restore(self, v: int, state: Tuple[int, int]) -> None:
-        """Undo every fix of v made since :meth:`state` returned *state*."""
-        self.heads[v] = state
-
-    def resolved_coin(self, v: int) -> Optional[int]:
-        """The coin of v if the fixes already determine it, else None."""
-        good, width = self.heads[v]
-        if good == width:
-            return 1
-        if good == 0:
-            return 0
-        return None
-
-    def final_coins(self) -> Dict[int, int]:
-        """All coins once the fixes determine every one of them."""
-        out: Dict[int, int] = {}
-        for v in self.heads:
-            coin = self.resolved_coin(v)
-            if coin is None:
-                raise DomainError(f"coin of node {v} is still undetermined")
-            out[v] = coin
-        return out
-
-
 # -- exact expectation engine ------------------------------------------------
 
 
 def conditional_expected_value(
-    inst: RoundingInstance, law: IndependentCoinLaw, u: int
+    inst: RoundingInstance, fixed: Dict[int, int], u: int
 ) -> Tuple[int, int]:
-    """E[Z_u] as ``(numerator, denominator)``, where Z_u = 1 if u ends phase 1
-    uncovered, else X_u.
+    """E[Z_u] given the coins in *fixed*, as ``(numerator, denominator)``,
+    where Z_u = 1 if u ends phase 1 uncovered, else X_u.
 
-    A successful coin sets its node to 1, which meets c(u) <= 1 on its own,
-    so u is uncovered exactly when c(u) > 0, no resolved node of N[u] is 1
-    and every live coin of N[u] fails.  The denominator is the product of
-    the live coins' widths, a power of two for every law this module builds.
+    A node absent from *fixed* holds a live coin iff 0 < x < one; it
+    succeeds with probability x/one.  A successful coin sets its node to 1,
+    which meets c(u) <= 1 on its own, so u is uncovered exactly when
+    c(u) > 0, no resolved node of N[u] is 1 and every live coin of N[u]
+    fails.  The denominator is one to the power of N[u]'s live coins.
     """
-    heads = law.heads
     x = inst.x
     one = inst.one
+    get = fixed.get
     covered = not inst.c[u]
     # Pr(every live coin fails) = miss / den
     miss = den = 1
     for w in inst.graph.closed_neighbors(u):
-        head = heads.get(w)
-        if head is None:
-            covered = covered or x[w] == one
-            continue
-        good, width = head
-        if 0 < good < width:
-            miss *= width - good
-            den *= width
-        elif good:
+        coin = get(w)
+        if coin is None:
+            xw = x[w]
+            if xw == one:
+                covered = True
+            elif xw:
+                miss *= one - xw
+                den *= one
+        elif coin:
             covered = True
     # an uncovered u counts 1, a covered one X_u
     uncovered = 0 if covered else miss
-    head = heads.get(u)
-    if head is None:
-        xu = x[u] == one
-    else:
-        good, width = head
-        if 0 < good < width:
+    coin = get(u)
+    if coin is None:
+        xu = x[u]
+        if 0 < xu < one:
             # a live u is covered whenever its own coin succeeds
-            return uncovered + good * (den // width), den
-        xu = good > 0
-    return (den if xu else uncovered), den
+            return uncovered + xu * (den // one), den
+        coin = xu == one
+    return (den if coin else uncovered), den
 
 
 def branch_sum(
     inst: RoundingInstance,
-    law: IndependentCoinLaw,
+    fixed: Dict[int, int],
     nodes: Sequence[int],
     unit: Fraction,
 ) -> Fraction:
@@ -210,14 +158,14 @@ def branch_sum(
     scale, step = unit.denominator, unit.numerator
     total = 0
     for u in nodes:
-        num, den = conditional_expected_value(inst, law, u)
+        num, den = conditional_expected_value(inst, fixed, u)
         # most expectations are 0 once neighbors are fixed
         if num:
             total -= (-num * scale) // (den * step)
     return Fraction(total * step, scale)
 
 
-def expected_output_size(inst: RoundingInstance, law: IndependentCoinLaw) -> Fraction:
+def expected_output_size(inst: RoundingInstance, fixed: Dict[int, int]) -> Fraction:
     """Exact expected phase-2 output size: sum of E[Z_v] over all nodes.
 
     Every denominator is a power of two, so the largest one so far is a
@@ -225,7 +173,7 @@ def expected_output_size(inst: RoundingInstance, law: IndependentCoinLaw) -> Fra
     """
     total, common = 0, 1
     for v in range(inst.graph.n):
-        num, den = conditional_expected_value(inst, law, v)
+        num, den = conditional_expected_value(inst, fixed, v)
         if den > common:
             total *= den // common
             common = den
@@ -233,13 +181,20 @@ def expected_output_size(inst: RoundingInstance, law: IndependentCoinLaw) -> Fra
     return Fraction(total, common)
 
 
-def rounded_output(inst: RoundingInstance, law: IndependentCoinLaw) -> CFDS:
-    """Phase 1 with every coin of *law* fixed, then phase 2.
+def rounded_output(inst: RoundingInstance, coins: Dict[int, int]) -> CFDS:
+    """Phase 1 with the coin of every participating node given in *coins*,
+    then phase 2.
 
     A node's phase-1 value is 1 if its x is 1 or its coin succeeded, else 0;
     phase 2 raises a node to 1 iff c > 0 and N[v] holds no phase-1 1.
+    DomainError unless *coins* names exactly the participating nodes.
     """
-    coins = law.final_coins()
+    wrong = sorted(coins.keys() ^ set(inst.participating()))
+    if wrong:
+        raise DomainError(
+            "coins must be given for exactly the participating nodes; "
+            f"not so at {wrong}"
+        )
     one = inst.one
     ones = {v for v, xv in inst.x.items() if xv == one or coins.get(v)}
     adj = inst.graph.adj
@@ -277,24 +232,22 @@ def derandomize(
     """
     n = max(inst.graph.n, 2)
     unit = Fraction(1, n**10)
-    law = IndependentCoinLaw({v: inst.x[v] for v in inst.participating()}, inst.iota)
-    initial = expected_output_size(inst, law)
+    x, one = inst.x, inst.one
+    coins: Dict[int, int] = {}
+    initial = expected_output_size(inst, coins)
     decisions: List[Tuple[int, Fraction, Fraction, int]] = []
     for v in order:
-        if v not in law.heads or law.resolved_coin(v) is not None:
+        if v in coins or not 0 < x.get(v, 0) < one:
             raise DomainError(f"node {v} has no undecided coin to fix")
         affected = inst.graph.closed_neighbors(v)
-        saved = law.state(v)
-        sums = []
-        for branch in (0, 1):
-            law.fix_coin(v, branch)
-            sums.append(branch_sum(inst, law, affected, unit))
-            law.restore(v, saved)
-        s0, s1 = sums
+        coins[v] = 0
+        s0 = branch_sum(inst, coins, affected, unit)
+        coins[v] = 1
+        s1 = branch_sum(inst, coins, affected, unit)
         coin = 1 if s1 < s0 else 0
-        law.fix_coin(v, coin)
+        coins[v] = coin
         decisions.append((v, s0, s1, coin))
-    result = rounded_output(inst, law)
+    result = rounded_output(inst, coins)
     bad = validate_cfds(inst.graph, result)
     if bad:
         raise InvariantViolation(f"derandomized output violates constraints at {bad}")

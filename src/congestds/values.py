@@ -13,7 +13,7 @@ denominator.  No floating point touches a correctness path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List
 
@@ -68,14 +68,14 @@ class CFDS:
     """
 
     x: Dict[int, Fraction]
-    c: Dict[int, Fraction] = field(default_factory=dict)
+    c: Dict[int, Fraction]
 
     def __post_init__(self):
         # wrap every entry that is not already a Fraction
         self.x, self.c = [
             {v: val if isinstance(val, Fraction) else Fraction(val)
              for v, val in values.items()}
-            for values in (self.x, self.c or {v: ONE for v in self.x})
+            for values in (self.x, self.c)
         ]
         if set(self.c) != set(self.x):
             raise DomainError("x and c must be defined on the same node set")

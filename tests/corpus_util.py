@@ -19,11 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from congestds.graph import Graph
-from congestds.rounding import (
-    IndependentCoinLaw,
-    RoundingInstance,
-    expected_output_size,
-)
+from congestds.rounding import RoundingInstance, expected_output_size
 from congestds.values import CFDS, ONE, ZERO, iota_for
 
 
@@ -162,51 +158,46 @@ def cfds_from_set(nodes: Iterable[int], chosen: Iterable[int]) -> CFDS:
 def replay_expectations(
     inst: RoundingInstance, fixes: Sequence[Tuple[int, int]]
 ) -> List[Fraction]:
-    """Fix the coins of a fresh law in order, one ``(node, coin)`` at a time,
-    and return the exact expected output size after each fix."""
-    law = IndependentCoinLaw(
-        {v: inst.x[v] for v in inst.participating()}, b=inst.iota
-    )
+    """Fix the coins in order, one ``(node, coin)`` at a time, and return
+    the exact expected output size after each fix."""
+    fixed: Dict[int, int] = {}
     out: List[Fraction] = []
     for v, coin in fixes:
-        law.fix_coin(v, coin)
-        out.append(expected_output_size(inst, law))
+        fixed[v] = coin
+        out.append(expected_output_size(inst, fixed))
     return out
 
 
 def enumerate_coins(
-    inst: RoundingInstance, law: IndependentCoinLaw, u: int
+    inst: RoundingInstance, fixed: Dict[int, int], u: int
 ) -> Tuple[Fraction, Fraction]:
     """``(E[Z_u], Pr(u uncovered))`` by enumerating the live coins of N[u].
 
     Z_u is 1 if u's inclusive-neighborhood phase-1 sum falls short of c(u),
-    else u's phase-1 value.  A coin that succeeds sets a node with x > 0 to
-    1; a node without a coin keeps its x if that is 0 or 1 and is 0
-    otherwise.  Each outcome of the live coins, those at ``(good, width)``
-    with 0 < good < width, weighs the product of good/width or
-    (width - good)/width over them.  Values and constraints are read as
-    Fractions of the instance's units.
+    else u's phase-1 value.  A node in *fixed* has phase-1 value equal to
+    its coin.  Any other node keeps its x if that is 0 or 1, and otherwise
+    holds a live coin that succeeds, setting it to 1, with probability x.
+    Each outcome of the live coins weighs the product of x or 1 - x over
+    them.  Values and constraints are read as Fractions of the instance's
+    units.
     """
-    heads = law.heads
     x = {w: Fraction(inst.x[w], inst.one) for w in inst.graph.closed_neighbors(u)}
-    fixed: Dict[int, Fraction] = {}
+    known: Dict[int, Fraction] = {}
     live: List[int] = []
     for w in inst.graph.closed_neighbors(u):
-        head = heads.get(w)
-        if head is None:
-            fixed[w] = ONE if x[w] == ONE else ZERO
-        elif 0 < head[0] < head[1]:
+        if w in fixed:
+            known[w] = ONE if fixed[w] else ZERO
+        elif 0 < x[w] < 1:
             live.append(w)
         else:
-            fixed[w] = ONE if head[0] and x[w] > 0 else ZERO
+            known[w] = x[w]
     expect = uncover = ZERO
     for bits in itertools.product((0, 1), repeat=len(live)):
         weight = ONE
-        X = dict(fixed)
+        X = dict(known)
         for w, bit in zip(live, bits):
-            good, width = heads[w]
-            weight *= Fraction(good if bit else width - good, width)
-            X[w] = ONE if bit and x[w] > 0 else ZERO
+            weight *= x[w] if bit else 1 - x[w]
+            X[w] = ONE if bit else ZERO
         if sum(X.values()) < Fraction(inst.c[u], inst.one):
             uncover += weight
             expect += weight

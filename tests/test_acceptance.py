@@ -22,7 +22,7 @@ from congestds.graph import Graph
 from congestds.lp_init import initial_fds
 from congestds.oracles import brute_force_cds
 from congestds.pipeline import run_cds, run_mds_delta, run_mds_n
-from congestds.rounding import IndependentCoinLaw, one_shot_instance
+from congestds.rounding import one_shot_instance
 from congestds.values import CFDS, ZERO, ln_upper, validate_cfds
 
 from corpus_util import (
@@ -127,12 +127,9 @@ def _one_shot_inst(g):
 def _expectation_bound(inst):
     """A + sum over nodes of Pr(constraint uncovered), all exact: with p = x
     each node's phase-1 expectation is x(v), so A = sum of x."""
-    law = IndependentCoinLaw(
-        {v: inst.x[v] for v in inst.participating()}, b=inst.iota
-    )
     A = Fraction(sum(inst.x.values()), inst.one)
     uncover = sum(
-        (enumerate_coins(inst, law, v)[1] for v in range(inst.graph.n)), ZERO
+        (enumerate_coins(inst, {}, v)[1] for v in range(inst.graph.n)), ZERO
     )
     return A + uncover
 
@@ -213,9 +210,6 @@ def test_criterion_5_uncover_probability_bounds():
         inst = one_shot_instance(g, xp)
         p = inst.x[0] / inst.one
         coins = rng.random((T, g.n)) < p
-        law = IndependentCoinLaw(
-            {v: inst.x[v] for v in inst.participating()}, b=inst.iota
-        )
         bound = 1 / dt + 4 * math.sqrt((1 / dt) / T)
         for v in range(g.n):
             nbrs = [v] + g.adj[v]
@@ -223,7 +217,7 @@ def test_criterion_5_uncover_probability_bounds():
             freq = float((coins[:, nbrs].sum(axis=1) < 1).mean())
             if freq > bound:
                 failures.append(f"one-shot node {v}: {freq:.4f} > {bound:.4f}")
-            exact = float(enumerate_coins(inst, law, v)[1])
+            exact = float(enumerate_coins(inst, {}, v)[1])
             sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / T)
             if abs(freq - exact) > 5 * sigma + 1e-9:
                 failures.append(

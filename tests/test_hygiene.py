@@ -287,7 +287,8 @@ def test_detects_dead_exception_class():
 
 #: the coin-fixing machinery, which only rounding.derandomize may drive
 COIN_FIXING = {
-    "branch_sum", "expected_output_size", "rounded_output", "IndependentCoinLaw"
+    "branch_sum", "conditional_expected_value", "expected_output_size",
+    "rounded_output",
 }
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from corpus_util import enumerate_coins, replay_expectations, unit_instance
 from congestds.errors import DomainError, PrecisionError
 from congestds.graph import Graph
 from congestds.rounding import (
-    IndependentCoinLaw,
     RoundingInstance,
     branch_sum,
     conditional_expected_value,
@@ -29,17 +29,9 @@ def k2_half():
     return unit_instance(Graph(2, [(0, 1)]), {0: HALF, 1: HALF})
 
 
-def fixed_law(coins, b=4):
-    """A law over the coins of *coins*, each at 1/2 and then fixed to it."""
-    law = IndependentCoinLaw({v: 1 << (b - 1) for v in coins}, b=b)
-    for v, coin in coins.items():
-        law.fix_coin(v, coin)
-    return law
-
-
-def expectation(inst, law, u):
+def expectation(inst, fixed, u):
     """conditional_expected_value as one Fraction."""
-    return Fraction(*conditional_expected_value(inst, law, u))
+    return Fraction(*conditional_expected_value(inst, fixed, u))
 
 
 class TestInstanceValidation:
@@ -102,7 +94,7 @@ class TestInstanceValidation:
                 v: 1 if X[v] + sum(X[u] for u in g.adj[v]) < c[v] else X[v]
                 for v in range(n)
             }
-            out = rounded_output(inst, fixed_law(coins))
+            out = rounded_output(inst, coins)
             assert out.x == want
             assert out.c == c
 
@@ -113,29 +105,39 @@ class TestPhases:
         inst = unit_instance(
             Graph(2, [(0, 1)]), {0: HALF, 1: HALF}, {0: Fraction(0), 1: Fraction(0)}
         )
-        out = rounded_output(inst, fixed_law({0: 1, 1: 0}))
+        out = rounded_output(inst, {0: 1, 1: 0})
         assert out.x == {0: Fraction(1), 1: Fraction(0)}
 
     def test_phase1_missing_coin(self):
-        law = IndependentCoinLaw({0: 8, 1: 8}, b=4)
-        law.fix_coin(0, 1)
-        with pytest.raises(DomainError):
-            rounded_output(k2_half(), law)
+        with pytest.raises(DomainError, match=r"not so at \[1\]$"):
+            rounded_output(k2_half(), {0: 1})
+        with pytest.raises(DomainError, match=r"not so at \[0, 1\]$"):
+            rounded_output(k2_half(), {})
+
+    def test_coinless_node_rejected(self):
+        # node 1 has x = 1 and node 2 has x = 0: neither holds a coin
+        g = Graph(3, [(0, 1), (1, 2)])
+        inst = unit_instance(g, {0: HALF, 1: Fraction(1), 2: Fraction(0)})
+        for coins, wrong in (({0: 0, 1: 1}, "[1]"), ({0: 1, 2: 0}, "[2]"),
+                             ({0: 1, 1: 1, 2: 0}, "[1, 2]")):
+            with pytest.raises(DomainError, match=f"not so at {re.escape(wrong)}$"):
+                rounded_output(inst, coins)
+        assert rounded_output(inst, {0: 0}).x == {0: 0, 1: 1, 2: 0}
 
     def test_phase2_raises_uncovered(self):
         inst = k2_half()
-        out = rounded_output(inst, fixed_law({0: 0, 1: 0}))
+        out = rounded_output(inst, {0: 0, 1: 0})
         assert out.x == {0: Fraction(1), 1: Fraction(1)}
         assert validate_cfds(inst.graph, out) == []
 
     def test_phase2_keeps_covered(self):
-        out = rounded_output(k2_half(), fixed_law({0: 1, 1: 0}))
+        out = rounded_output(k2_half(), {0: 1, 1: 0})
         assert out.x == {0: Fraction(1), 1: Fraction(0)}
 
     def test_output_always_valid(self):
         inst = k2_half()
         for coins in itertools.product((0, 1), repeat=2):
-            out = rounded_output(inst, fixed_law(dict(enumerate(coins))))
+            out = rounded_output(inst, dict(enumerate(coins)))
             assert validate_cfds(inst.graph, out) == []
 
 
@@ -181,62 +183,44 @@ class TestInstanceBuilders:
 
 class TestExactExpectations:
     def test_uncover_prob_k2(self):
-        inst = k2_half()
-        law = IndependentCoinLaw({0: 8, 1: 8}, b=4)
-        assert enumerate_coins(inst, law, 0)[1] == Fraction(1, 4)
+        assert enumerate_coins(k2_half(), {}, 0)[1] == Fraction(1, 4)
 
     def test_conditional_value_k2(self):
-        inst = k2_half()
-        law = IndependentCoinLaw({0: 8, 1: 8}, b=4)
         # Z_0 = 1 when both fail (prob 1/4), else X_0 = coin_0
-        num, den = conditional_expected_value(inst, law, 0)
+        num, den = conditional_expected_value(k2_half(), {}, 0)
         assert Fraction(num, den) == Fraction(3, 4)
         assert den & (den - 1) == 0  # a power of two
 
     def test_conditioning_on_coin(self):
         inst = k2_half()
-        law = IndependentCoinLaw({0: 8, 1: 8}, b=4)
-        fresh = law.state(0)
-        law.fix_coin(0, 1)
-        assert enumerate_coins(inst, law, 0) == (Fraction(1), Fraction(0))
-        with pytest.raises(DomainError):
-            law.fix_coin(0, 0)
-        law.restore(0, fresh)
-        law.fix_coin(0, 0)
-        assert enumerate_coins(inst, law, 0) == (HALF, HALF)
+        assert enumerate_coins(inst, {0: 1}, 0) == (Fraction(1), Fraction(0))
+        assert expectation(inst, {0: 1}, 0) == 1
+        assert enumerate_coins(inst, {0: 0}, 0) == (HALF, HALF)
+        assert expectation(inst, {0: 0}, 0) == HALF
 
     def test_law_of_total_expectation(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         p = {v: Fraction(1, 4) for v in range(4)}
         inst = unit_instance(g, p)
-        law = IndependentCoinLaw({v: 4 for v in range(4)}, b=4)
-        total = expected_output_size(inst, law)
+        total = expected_output_size(inst, {})
         branch = Fraction(0)
-        fresh = law.state(1)
         for val in (0, 1):
-            law.fix_coin(1, val)
             w = p[1] if val else 1 - p[1]
-            branch += w * expected_output_size(inst, law)
-            law.restore(1, fresh)
+            branch += w * expected_output_size(inst, {1: val})
         assert branch == total
-        assert expected_output_size(inst, law) == total
 
     def test_matches_exhaustive_enumeration(self):
         g = Graph(3, [(0, 1), (1, 2)])
         p = {0: HALF, 1: Fraction(1, 4), 2: HALF}
         inst = unit_instance(g, p)
-        thresholds = {v: int(p[v] * 16) for v in range(3)}
         total = Fraction(0)
         for coins in itertools.product((0, 1), repeat=3):
             w = Fraction(1)
-            law = IndependentCoinLaw(thresholds, b=4)
             for v in range(3):
                 w *= p[v] if coins[v] else 1 - p[v]
-                law.fix_coin(v, coins[v])
-            out = rounded_output(inst, law)
+            out = rounded_output(inst, dict(enumerate(coins)))
             total += w * out.size
-        law = IndependentCoinLaw(thresholds, b=4)
-        assert expected_output_size(inst, law) == total
+        assert expected_output_size(inst, {}) == total
 
     def test_per_node_values_match_enumeration(self):
         # coins of different probabilities, a node with x = 1, a node with
@@ -248,8 +232,6 @@ class TestExactExpectations:
              4: Fraction(5, 8), 5: Fraction(1)}
         inst = unit_instance(g, x, c)
         S = inst.participating()
-        thresholds = {v: int(x[v] * 16) for v in S}
-        law = IndependentCoinLaw(thresholds, b=4)
         fixed = {3: 1}
         free = [v for v in S if v not in fixed]
         expect = {v: Fraction(0) for v in range(6)}
@@ -261,66 +243,52 @@ class TestExactExpectations:
             for v, bit in zip(free, bits):
                 w *= x[v] if bit else 1 - x[v]
             X = {v: 1 if x[v] == 1 or coins.get(v) else 0 for v in range(6)}
-            outcome = IndependentCoinLaw(thresholds, b=4)
-            for v, coin in coins.items():
-                outcome.fix_coin(v, coin)
-            out = rounded_output(inst, outcome)
+            out = rounded_output(inst, coins)
             for v in range(6):
                 expect[v] += w * out.x[v]
                 if X[v] + sum(X[u] for u in g.adj[v]) < c[v]:
                     uncover[v] += w
-        for v, coin in fixed.items():
-            law.fix_coin(v, coin)
         for v in range(6):
-            assert expectation(inst, law, v) == expect[v]
-            assert enumerate_coins(inst, law, v) == (expect[v], uncover[v])
+            assert expectation(inst, fixed, v) == expect[v]
+            assert enumerate_coins(inst, fixed, v) == (expect[v], uncover[v])
 
     def test_branch_sum_equals_fraction_ceilings(self):
         """branch_sum equals the sum over the nodes of ceil(alpha * n^10) /
-        n^10 under random partial laws."""
+        n^10 under random partial fixes."""
         rng = random.Random("branch-sum:coin")
         for _ in range(60):
             n = rng.randint(2, 9)
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < 0.4])
             width = max(n, 2)
-            b = iota_for(width)
             xp = CFDS.fds({v: Fraction(rng.randint(1, 16), 16) for v in range(n)})
             if g.delta_tilde < 2:
                 continue
             inst = one_shot_instance(g, xp)
             S = inst.participating()
-            law = IndependentCoinLaw({v: inst.x[v] for v in S}, b=b)
-            for v in rng.sample(S, rng.randint(0, len(S))):
-                law.fix_coin(v, rng.randint(0, 1))
+            fixed = {
+                v: rng.randint(0, 1) for v in rng.sample(S, rng.randint(0, len(S)))
+            }
             unit = Fraction(1, width**10)
             nodes = rng.sample(range(n), rng.randint(1, n))
             want = Fraction(0)
             for u in nodes:
-                alpha = expectation(inst, law, u)
+                alpha = expectation(inst, fixed, u)
                 want += Fraction(math.ceil(alpha * width**10), width**10)
-            assert branch_sum(inst, law, nodes, unit) == want
+            assert branch_sum(inst, fixed, nodes, unit) == want
             total = sum(
-                (expectation(inst, law, u) for u in range(n)), Fraction(0)
+                (expectation(inst, fixed, u) for u in range(n)), Fraction(0)
             )
-            assert expected_output_size(inst, law) == total
+            assert expected_output_size(inst, fixed) == total
 
 
-def random_law(rng, inst):
-    """A law over the participating coins with each coin left at p, fixed
-    either way, or live at an arbitrary (good, width)."""
-    S = inst.participating()
-    law = IndependentCoinLaw(
-        {v: inst.x[v] for v in S}, b=inst.iota
-    )
-    for v in S:
-        kind = rng.randrange(4)
-        if kind == 1:
-            law.fix_coin(v, rng.randint(0, 1))
-        elif kind == 2:
-            width = rng.randint(2, 40)
-            law.heads[v] = (rng.randint(1, width - 1), width)
-    return law
+def random_fixes(rng, inst):
+    """Each participating coin left live or fixed to 0 or 1 at random."""
+    return {
+        v: kind - 1
+        for v in inst.participating()
+        if (kind := rng.randrange(3))
+    }
 
 
 def random_fds(rng, n):
@@ -348,28 +316,51 @@ def delta_host(graph, xprime):
     return RoundingInstance(graph=host, x=x, c=c)
 
 
-class TestClosedForm:
-    """conditional_expected_value equals the coin enumeration on one-shot
-    and delta-host instances under random partial laws."""
+def random_units(rng, n, one):
+    """Unit-valued x or c: 0, one, or any whole number of units between."""
+    return {
+        v: Fraction(rng.choice([0, one, rng.randint(1, one - 1)]), one)
+        for v in range(n)
+    }
 
-    @pytest.mark.parametrize("kind", ["one-shot", "delta-host"])
+
+class TestClosedForm:
+    """conditional_expected_value equals the coin enumeration on one-shot,
+    delta-host and random unit-valued instances under random partial fixes,
+    over neighborhoods holding live coins, coins fixed to 0 and to 1, and
+    coinless nodes with x = 0 and x = one."""
+
+    @pytest.mark.parametrize("kind", ["one-shot", "delta-host", "units"])
     def test_matches_enumeration(self, kind):
         rng = random.Random(f"closed-form:{kind}")
+        seen = set()
         found = 0
         while found < 40:
             g = random_graph(rng, rng.randint(2, 9))
             if g.delta_tilde < 2:
                 continue
             found += 1
-            xprime = random_fds(rng, g.n)
-            if kind == "one-shot":
-                inst = one_shot_instance(g, xprime)
+            if kind == "units":
+                one = 1 << iota_for(g.n)
+                inst = unit_instance(
+                    g, random_units(rng, g.n, one), random_units(rng, g.n, one)
+                )
+            elif kind == "one-shot":
+                inst = one_shot_instance(g, random_fds(rng, g.n))
             else:
-                inst = delta_host(g, xprime)
-            law = random_law(rng, inst)
+                inst = delta_host(g, random_fds(rng, g.n))
+            fixed = random_fixes(rng, inst)
             for u in range(inst.graph.n):
-                want, _ = enumerate_coins(inst, law, u)
-                assert expectation(inst, law, u) == want
+                want, _ = enumerate_coins(inst, fixed, u)
+                assert expectation(inst, fixed, u) == want
+            for v, xv in inst.x.items():
+                if v in fixed:
+                    seen.add(f"fixed to {fixed[v]}")
+                elif 0 < xv < inst.one:
+                    seen.add("live")
+                else:
+                    seen.add(f"x = {xv // inst.one}")
+        assert seen == {"live", "fixed to 0", "fixed to 1", "x = 0", "x = 1"}
 
 
 class TestDerandomize:

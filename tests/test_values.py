@@ -97,6 +97,11 @@ class TestCFDS:
             CFDS.fds({0: Fraction(-1, 4)})
         with pytest.raises(DomainError, match=r"c\(1\) = 4/3 outside"):
             CFDS(x={0: 0, 1: 1}, c={0: 1, 1: Fraction(4, 3)})
+        # an empty constraint map is a mismatch, not all-ones constraints
+        with pytest.raises(DomainError, match="same node set"):
+            CFDS(x={0: Fraction(1, 2)}, c={})
+        with pytest.raises(TypeError):
+            CFDS(x={0: Fraction(1, 2)})
         # values that are not yet Fractions are wrapped
         d = CFDS(x={0: 1, 1: "1/3"}, c={0: 0.5, 1: 1})
         assert d.x == {0: Fraction(1), 1: Fraction(1, 3)}
