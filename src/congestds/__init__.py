@@ -16,12 +16,7 @@ from .errors import (
     StructuralError,
 )
 from .graph import Graph, format_graph, load_graph, parse_graph
-from .values import (
-    CFDS,
-    fractionality,
-    quantize_up,
-    validate_cfds,
-)
+from .values import fractionality
 from .pipeline import PipelineParams, RunReport, run_cds, run_mds_delta, run_mds_n
 from .oracles import brute_force_cds, brute_force_mds
 from .generators import generate_graph
@@ -29,7 +24,6 @@ from .generators import generate_graph
 __version__ = "1.0.0"
 
 __all__ = [
-    "CFDS",
     "CongestDSError",
     "DomainError",
     "Graph",
@@ -46,9 +40,7 @@ __all__ = [
     "generate_graph",
     "load_graph",
     "parse_graph",
-    "quantize_up",
     "run_cds",
     "run_mds_delta",
     "run_mds_n",
-    "validate_cfds",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .decomp import (
     Cluster,
@@ -19,10 +19,9 @@ from .decomp import (
     decomposition_charge,
     validate_decomposition,
 )
-from .errors import InvariantViolation, PreconditionError
+from .errors import PreconditionError
 from .graph import Graph
 from .rounding import RoundingInstance, _check_stage, derandomize, one_shot_instance
-from .values import CFDS
 
 
 @dataclass
@@ -44,9 +43,10 @@ class CoinFixRecord:
 
 @dataclass
 class ClusterOutcome:
-    """Result of a cluster-ordered derandomization run."""
+    """Result of a cluster-ordered derandomization run; ``result`` holds the
+    chosen host nodes, ascending."""
 
-    result: CFDS
+    result: List[int]
     fixes: List[CoinFixRecord]
     simulated_rounds: int
     initial_expectation: Fraction
@@ -113,10 +113,11 @@ def derandomize_clusterwise(
 
 def n_one_shot(
     graph: Graph,
-    xprime: CFDS,
+    xprime: Sequence[int],
     F: int,
-) -> Tuple[CFDS, ClusterOutcome]:
-    """Deterministic one-shot rounding of a 1/F-fractional dominating set.
+) -> Tuple[List[int], ClusterOutcome]:
+    """Deterministic one-shot rounding of a 1/F-fractional dominating set,
+    given in units of 2**-iota(n), to the chosen nodes, ascending.
 
     Fully independent coins meet the F-wise independence that the
     uncover-probability bound needs; the scaled instance is derandomized
@@ -125,6 +126,4 @@ def n_one_shot(
     _check_stage(graph, xprime, F)
     inst = one_shot_instance(graph, xprime)
     outcome = derandomize_clusterwise(inst, compute_decomposition(graph, 2))
-    if not outcome.result.is_integral():
-        raise InvariantViolation("one-shot output is not integral")
     return outcome.result, outcome

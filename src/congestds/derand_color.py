@@ -9,10 +9,9 @@ number of communication rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .bipartite import (
     Coloring,
@@ -20,10 +19,11 @@ from .bipartite import (
     coloring_violations,
     greedy_distance2_coloring,
 )
+from .cds import undominated
 from .errors import InvariantViolation, PreconditionError
 from .graph import Graph
 from .rounding import RoundingInstance, _check_stage, derandomize, scale_values
-from .values import CFDS, iota_for, ln_upper, validate_cfds
+from .values import iota_for, ln_upper
 
 
 @dataclass
@@ -39,9 +39,10 @@ class DecisionRecord:
 
 @dataclass
 class DerandOutcome:
-    """Result of a derandomized rounding run plus its replayable decision log."""
+    """Result of a derandomized rounding run plus its replayable decision log;
+    ``result`` holds the chosen host nodes, ascending."""
 
-    result: CFDS
+    result: List[int]
     decisions: List[DecisionRecord]
     simulated_rounds: int
     initial_expectation: Fraction
@@ -82,26 +83,24 @@ def derandomize_colorwise(
 # -- degree-parameterized wrapper -------------------------------------------
 
 
-def _covering_sets(graph: Graph, xprime: CFDS, cap: int) -> Dict[int, List[int]]:
+def _covering_sets(
+    graph: Graph, xprime: Sequence[int], cap: int
+) -> Dict[int, List[int]]:
     """Per node, a <= cap subset of its inclusive neighborhood with x'-mass >= 1."""
-    # x' in integer units of the least common denominator
-    den = math.lcm(*{val.denominator for val in xprime.x.values()})
-    units = {
-        u: val.numerator * (den // val.denominator) for u, val in xprime.x.items()
-    }
+    one = 1 << iota_for(graph.n)
     out: Dict[int, List[int]] = {}
     for v in range(graph.n):
         candidates = sorted(
-            graph.closed_neighbors(v), key=lambda u: (-units[u], u)
+            graph.closed_neighbors(v), key=lambda u: (-xprime[u], u)
         )
         picked: List[int] = []
         mass = 0
         for u in candidates:
-            if mass >= den:
+            if mass >= one:
                 break
             picked.append(u)
-            mass += units[u]
-        if mass < den:
+            mass += xprime[u]
+        if mass < one:
             raise PreconditionError(
                 f"input is not a valid fractional dominating set at node {v}"
             )
@@ -115,16 +114,17 @@ def _covering_sets(graph: Graph, xprime: CFDS, cap: int) -> Dict[int, List[int]]
 
 def delta_one_shot(
     graph: Graph,
-    xprime: CFDS,
+    xprime: Sequence[int],
     F: int,
-) -> Tuple[CFDS, DerandOutcome]:
-    """Deterministic one-shot rounding via the bipartite representation.
+) -> Tuple[List[int], DerandOutcome]:
+    """Deterministic one-shot rounding via the bipartite representation, of
+    x' in units of 2**-iota(n) to the chosen nodes, ascending.
 
     Constraint-side degrees are first capped at F by keeping, per node, a
     covering set of at most F value copies (the 1/F-fractionality guarantees
     one exists).  The value side is then distance-2 colored and the scaled
-    instance derandomized color by color; mapping each original node to the
-    maximum over its copies yields an integral dominating set.
+    instance derandomized color by color; an original node is chosen when
+    its constraint copy or its value copy is, which yields a dominating set.
     """
     _check_stage(graph, xprime, F)
     dt = graph.delta_tilde
@@ -149,12 +149,8 @@ def delta_one_shot(
     delta_l = max((host.degree(v) for v in range(n)), default=0)
     delta_r = max((host.degree(b) for b in range(n, 2 * n)), default=0)
     outcome.charged_rounds = coloring_round_cost(delta_l, delta_r, n)
-    result = CFDS.fds(
-        {v: max(outcome.result.x[v], outcome.result.x[n + v]) for v in range(n)}
-    )
-    if not result.is_integral():
-        raise InvariantViolation("one-shot output is not integral")
-    bad = validate_cfds(graph, result)
+    result = sorted({b if b < n else b - n for b in outcome.result})
+    bad = undominated(graph, result)
     if bad:
         raise InvariantViolation(f"one-shot output not dominating at {bad}")
     return result, outcome

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DomainError
@@ -30,8 +29,9 @@ class Graph:
             tuple(sorted((*a, v))) for v, a in enumerate(self.adj)
         ]
         self._closed_masks: Optional[List[int]] = None
-        #: the repaired covering-LP solution, set by ``lp_init`` on first use
-        self.lp_solution: Optional[Tuple[Fraction, ...]] = None
+        #: the repaired covering-LP solution in units of 2**-iota(n), set by
+        #: ``lp_init`` on first use
+        self.lp_solution: Optional[Tuple[int, ...]] = None
 
     # -- basic accessors ---------------------------------------------------
 

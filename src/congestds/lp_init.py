@@ -7,9 +7,11 @@ centrally and its round cost charged.  The constraint matrix is sparse
 solves it by dual simplex below ``IPM_MIN_NODES`` nodes, handed the dense
 form there, and by interior point from there on, where simplex is much
 slower; the two may return different optimal vertices.  The float solution
-is repaired into an exactly feasible rational one on integers at the floats'
-common dyadic scale: scale up by the worst constraint slack, cap at 1,
-quantize upward, validate exactly.
+is repaired into an exactly feasible one on integers at the floats' common
+dyadic scale: scale up by the worst constraint slack, cap at 1, round up to
+whole units of 2**-iota(n), check every inclusive-neighborhood sum reaches
+one unit's worth of 1.  Every fractional dominating set here is a tuple of
+those integer units, one per node.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
-from .values import CFDS, ONE, iota_for, quantize_up, validate_cfds
+from .values import ONE, iota_for
 
 #: Graphs with at least this many nodes solve the LP by interior point;
 #: smaller ones by dual simplex, which is faster there (crossover measured on
@@ -39,8 +41,9 @@ def lp_round_charge(eps: Fraction, delta: int) -> int:
     return math.ceil(float(eps / 2) ** -4 * math.log2(delta + 2) ** 2)
 
 
-def lp_fractional_opt(graph: Graph) -> CFDS:
-    """An optimal fractional dominating set, repaired to exact feasibility.
+def lp_fractional_opt(graph: Graph) -> Tuple[int, ...]:
+    """An optimal fractional dominating set, repaired to exact feasibility,
+    in units of 2**-iota(n).
 
     The solver's float output is repaired upward, which can only grow the
     objective by a vanishing amount at desk scale.  The repaired solution
@@ -51,13 +54,13 @@ def lp_fractional_opt(graph: Graph) -> CFDS:
     if n == 0:
         raise DomainError("empty graph")
     if graph.max_degree == 0:
-        return CFDS.fds({v: ONE for v in range(n)})
+        return (1 << iota_for(n),) * n
     if graph.lp_solution is None:
         graph.lp_solution = _lp_solution(graph)
-    return CFDS.fds(dict(enumerate(graph.lp_solution)))
+    return graph.lp_solution
 
 
-def _lp_solution(graph: Graph) -> Tuple[Fraction, ...]:
+def _lp_solution(graph: Graph) -> Tuple[int, ...]:
     """Repaired, exactly feasible LP solution (depends only on the graph)."""
     n = graph.n
     # Row v of -A holds -1 at each node of N[v].
@@ -92,19 +95,18 @@ def _lp_solution(graph: Graph) -> Tuple[Fraction, ...]:
     # round up to the grid of 2**-iota
     div = min(min_sum, scale)
     one = 1 << iota_for(n)
-    x = {
-        v: ONE if u >= div else Fraction(-((-u * one) // div), one)
-        for v, u in enumerate(units)
-    }
-    d = CFDS.fds(x)
-    bad = validate_cfds(graph, d)
+    x = tuple(one if u >= div else -((-u * one) // div) for u in units)
+    bad = [
+        v for v in range(n) if sum(x[u] for u in graph.closed_neighbors(v)) < one
+    ]
     if bad:
         raise StructuralError(f"repaired LP solution infeasible at {bad}")
-    return tuple(d.x[v] for v in range(n))
+    return x
 
 
-def initial_fds(graph: Graph, eps) -> CFDS:
-    """An (1+eps)-approximate fractional dominating set, eps/(2*Delta)-fractional.
+def initial_fds(graph: Graph, eps) -> Tuple[int, ...]:
+    """An (1+eps)-approximate fractional dominating set, eps/(2*Delta)-fractional,
+    in units of 2**-iota(n).
 
     Takes the LP optimum in place of the cited solver's output (its rounds
     are :func:`lp_round_charge`), then lifts every value below eps/(2*Delta)
@@ -115,10 +117,11 @@ def initial_fds(graph: Graph, eps) -> CFDS:
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
     n = graph.n
+    one = 1 << iota_for(n)
     delta = graph.max_degree
     if delta == 0:
-        return CFDS.fds({v: ONE for v in range(n)})
-    base = lp_fractional_opt(graph)
-    floor = quantize_up(min(ONE, eps / (2 * delta)), n)
-    x = {v: max(base.x[v], floor) for v in range(n)}
-    return CFDS.fds(x)
+        return (one,) * n
+    # min(1, eps/(2*Delta)), rounded up to a whole unit
+    lift = min(ONE, eps / (2 * delta))
+    floor = -((-lift.numerator * one) // lift.denominator)
+    return tuple(max(u, floor) for u in lp_fractional_opt(graph))

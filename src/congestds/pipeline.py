@@ -40,7 +40,7 @@ from .errors import DomainError, InvariantViolation, PreconditionError
 from .graph import Graph
 from .lp_init import initial_fds, lp_fractional_opt, lp_round_charge
 from .oracles import brute_force_mds
-from .values import ONE, fractionality, ln_upper
+from .values import ONE, fractionality, iota_for, ln_upper
 
 DEFAULT_OPT_CAP = 24
 
@@ -154,8 +154,8 @@ def _opt_estimate(
     """
     if graph.n <= opt_cap:
         return Fraction(brute_force_mds(graph, cap=opt_cap)[0]), "brute-force"
-    lp = lp_fractional_opt(graph)
-    return lp.size, "lp-estimate"
+    size = Fraction(sum(lp_fractional_opt(graph)), 1 << iota_for(graph.n))
+    return size, "lp-estimate"
 
 
 def _trivial_report(graph: Graph, params: PipelineParams) -> Tuple[List[int], RunReport]:
@@ -218,27 +218,30 @@ def _run_mds(
         params=_params_obj(params),
     )
 
+    # x' in units of 2**-iota(n)
     current = initial_fds(graph, params.eps1)
-    frac = fractionality(current)
+    one = 1 << iota_for(graph.n)
+    frac = fractionality(current, one)
     charge = lp_round_charge(params.eps1, graph.max_degree)
-    report.stages.append(StageReport("initial-lp", current.size, frac, 0, charge))
+    report.stages.append(
+        StageReport("initial-lp", Fraction(sum(current), one), frac, 0, charge)
+    )
 
     F_eff = max(1, math.ceil(1 / frac))
     if scheme == "n":
-        ds_cfds, outcome = n_one_shot(graph, current, F_eff)
+        ds, outcome = n_one_shot(graph, current, F_eff)
     else:
-        ds_cfds, outcome = delta_one_shot(graph, current, F_eff)
+        ds, outcome = delta_one_shot(graph, current, F_eff)
     report.stages.append(
         StageReport(
             "one-shot",
-            ds_cfds.size,
-            fractionality(ds_cfds),
+            Fraction(len(ds)),
+            ONE,
             outcome.simulated_rounds,
             outcome.charged_rounds,
         )
     )
 
-    ds = sorted(ds_cfds.support())
     bad = undominated(graph, ds)
     report.valid = not bad
     if bad:

@@ -1,8 +1,9 @@
 """Randomized one-shot rounding and its exact conditional-expectation oracle.
 
 Every value here is an integer count of units 2**-iota, the O(log n)-bit
-fixed-point message of :mod:`values`, from :func:`scale_values` to the
-rounded output.  Phase 1 flips one coin per node: node v is set to 1 with
+fixed-point message of :mod:`values`: the input x' at the width of its
+graph, and from :func:`scale_values` to the rounded output at the width of
+the host.  Phase 1 flips one coin per node: node v is set to 1 with
 probability x(v), else to 0, so nodes with x(v) in {0, 1} hold no coin;
 phase 2 puts every node whose constraint is still unsatisfied at value 1.
 Every phase-1 value is 0 or 1 and every constraint is at most 1, so a
@@ -24,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, PrecisionError, PreconditionError
 from .graph import Graph
-from .values import CFDS, ONE, ZERO, iota_for, ln_upper, validate_cfds
+from .values import iota_for, ln_upper
 
 
 @dataclass
@@ -62,39 +63,43 @@ class RoundingInstance:
         return [v for v in range(self.graph.n) if 0 < x[v] < one]
 
 
-def _check_stage(graph: Graph, xprime: CFDS, F: int) -> None:
-    """PreconditionError unless every positive value of x' is at least 1/F
-    and *graph* has an edge: what one-shot rounding needs of its input."""
-    for v, val in xprime.x.items():
-        if val > 0 and val < Fraction(1, F):
+def _check_stage(graph: Graph, xprime: Sequence[int], F: int) -> None:
+    """What one-shot rounding needs of its input x', one value per node in
+    units of 2**-iota(n): DomainError unless x' has a value for each node of
+    *graph*; PreconditionError unless every positive value is at least 1/F
+    and *graph* has an edge."""
+    if len(xprime) != graph.n:
+        raise DomainError(f"x' has {len(xprime)} values for {graph.n} nodes")
+    one = 1 << iota_for(graph.n)
+    for v, val in enumerate(xprime):
+        if 0 < val and val * F < one:
             raise PreconditionError(
-                f"one-shot: x'({v}) = {val} below the required fractionality 1/{F}"
+                f"one-shot: x'({v}) = {Fraction(val, one)} below the required "
+                f"fractionality 1/{F}"
             )
     if graph.delta_tilde < 2:
         raise PreconditionError("one-shot rounding needs at least one edge")
 
 
-def scale_values(xprime: CFDS, factor: Fraction, ambient_n: int) -> Dict[int, int]:
-    """factor * x'(v) in units of 2**-iota at the width of *ambient_n*:
-    ``one`` when it reaches 1, and otherwise rounded up to a whole unit."""
+def scale_values(
+    xprime: Sequence[int], factor: Fraction, ambient_n: int
+) -> Dict[int, int]:
+    """factor * x'(v), for x' in units of 2**-iota(n) with n = len(x'),
+    rescaled to units of 2**-iota at the width of *ambient_n*: ``one`` when
+    it reaches 1, and otherwise rounded up to a whole unit."""
     one = 1 << iota_for(max(ambient_n, 2))
-    x: Dict[int, int] = {}
-    for v, val in xprime.x.items():
-        num = factor.numerator * val.numerator
-        den = factor.denominator * val.denominator
-        x[v] = one if num >= den else -((-num * one) // den)
-    return x
+    num = factor.numerator
+    den = factor.denominator << iota_for(len(xprime))
+    return {
+        v: one if num * val >= den else -((-num * val * one) // den)
+        for v, val in enumerate(xprime)
+    }
 
 
-def one_shot_instance(graph: Graph, xprime: CFDS) -> RoundingInstance:
+def one_shot_instance(graph: Graph, xprime: Sequence[int]) -> RoundingInstance:
     """Scale values by ln(max inclusive-neighborhood size); x' is rounded as
     a fractional dominating set, so every constraint is 1."""
-    delta_tilde = graph.delta_tilde
-    if delta_tilde < 2:
-        raise DomainError(
-            f"one-shot rounding needs max inclusive neighborhood >= 2, got {delta_tilde}"
-        )
-    x = scale_values(xprime, ln_upper(delta_tilde), graph.n)
+    x = scale_values(xprime, ln_upper(graph.delta_tilde), graph.n)
     one = 1 << iota_for(max(graph.n, 2))
     return RoundingInstance(graph=graph, x=x, c={v: one for v in x})
 
@@ -181,9 +186,9 @@ def expected_output_size(inst: RoundingInstance, fixed: Dict[int, int]) -> Fract
     return Fraction(total, common)
 
 
-def rounded_output(inst: RoundingInstance, coins: Dict[int, int]) -> CFDS:
+def rounded_output(inst: RoundingInstance, coins: Dict[int, int]) -> List[int]:
     """Phase 1 with the coin of every participating node given in *coins*,
-    then phase 2.
+    then phase 2; the nodes that end at 1, ascending.
 
     A node's phase-1 value is 1 if its x is 1 or its coin succeeded, else 0;
     phase 2 raises a node to 1 iff c > 0 and N[v] holds no phase-1 1.
@@ -197,19 +202,16 @@ def rounded_output(inst: RoundingInstance, coins: Dict[int, int]) -> CFDS:
         )
     one = inst.one
     ones = {v for v, xv in inst.x.items() if xv == one or coins.get(v)}
-    adj = inst.graph.adj
-    x: Dict[int, Fraction] = {}
-    c: Dict[int, Fraction] = {}
-    for v in range(inst.graph.n):
-        cv = inst.c[v]
-        x[v] = ONE if v in ones or (cv and ones.isdisjoint(adj[v])) else ZERO
-        c[v] = Fraction(cv, one)
-    return CFDS(x, c)
+    adj, c = inst.graph.adj, inst.c
+    return [
+        v for v in range(inst.graph.n)
+        if v in ones or (c[v] and ones.isdisjoint(adj[v]))
+    ]
 
 
 def derandomize(
     inst: RoundingInstance, order: Sequence[int]
-) -> Tuple[CFDS, List[Tuple[int, Fraction, Fraction, int]], Fraction]:
+) -> Tuple[List[int], List[Tuple[int, Fraction, Fraction, int]], Fraction]:
     """Fix every coin in *order* by conditional expectations, then round.
 
     Coins are private and independent, so E = q*E1 + (1-q)*E0 over the
@@ -227,8 +229,8 @@ def derandomize(
     expectation is the output size, so the output is checked against the
     initial expectation plus 1/n^7, and for validity on the host graph.
 
-    Returns the output, the ``(node, s0, s1, coin)`` decisions in order, and
-    the exact initial expectation.
+    Returns the chosen nodes ascending, the ``(node, s0, s1, coin)``
+    decisions in order, and the exact initial expectation.
     """
     n = max(inst.graph.n, 2)
     unit = Fraction(1, n**10)
@@ -247,12 +249,18 @@ def derandomize(
         coin = 1 if s1 < s0 else 0
         coins[v] = coin
         decisions.append((v, s0, s1, coin))
-    result = rounded_output(inst, coins)
-    bad = validate_cfds(inst.graph, result)
+    chosen = rounded_output(inst, coins)
+    # every output value is 0 or 1 and every c <= one, so c(v) is met
+    # exactly when c(v) = 0 or N[v] holds a chosen node
+    picked = set(chosen)
+    bad = [
+        v for v in range(inst.graph.n)
+        if inst.c[v] and picked.isdisjoint(inst.graph.closed_neighbors(v))
+    ]
     if bad:
         raise InvariantViolation(f"derandomized output violates constraints at {bad}")
-    if result.size > initial + Fraction(1, n**7):
+    if len(chosen) > initial + Fraction(1, n**7):
         raise InvariantViolation(
-            f"output size {result.size} exceeds expectation {initial} + 1/n^7"
+            f"output size {len(chosen)} exceeds expectation {initial} + 1/n^7"
         )
-    return result, decisions, initial
+    return chosen, decisions, initial

@@ -1,11 +1,14 @@
 """Graph corpora for property and acceptance tests, builders of rounding
-instances and integral CFDSs from plain values, a replay of coin fixes, and
-an exact coin-enumeration reference for conditional expectations.
+instances and fractional dominating sets in integer units from plain values,
+a replay of coin fixes, and an exact coin-enumeration reference for
+conditional expectations.
 
 Connected graphs up to 7 nodes come from the networkx atlas; the 8-node
 connected graphs are produced by augmenting every connected 7-node graph
 with one new node over all nonempty neighbor subsets, deduplicated by a
-strong invariant bucket followed by exact isomorphism checks.
+strong invariant bucket followed by exact isomorphism checks.  The labelled
+corpora are exhaustive and need no isomorphism test: trees from their Pruefer
+sequences, connected graphs from masks over the possible edges.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ import itertools
 import random
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from congestds.graph import Graph
 from congestds.rounding import RoundingInstance, expected_output_size
-from congestds.values import CFDS, ONE, ZERO, iota_for
+from congestds.values import ONE, iota_for
+
+ZERO = Fraction(0)
 
 
 def _to_graph(g: nx.Graph) -> Graph:
@@ -149,10 +154,45 @@ def unit_instance(
     return RoundingInstance(graph=graph, x=units(x), c=units(c))
 
 
-def cfds_from_set(nodes: Iterable[int], chosen: Iterable[int]) -> CFDS:
-    """The integral FDS that is 1 on *chosen* and 0 on the rest of *nodes*."""
-    chosen = set(chosen)
-    return CFDS.fds({v: (ONE if v in chosen else ZERO) for v in nodes})
+def to_units(values: Sequence) -> Tuple[int, ...]:
+    """Values in [0, 1], one per node of an n-node graph with n = len(values),
+    each rounded up to a whole number of units 2**-iota(n): the form in
+    which the pipeline hands on a fractional dominating set."""
+    one = 1 << iota_for(len(values))
+    return tuple(-((-Fraction(val) * one) // 1) for val in values)
+
+
+def labelled_trees(max_n: int) -> Iterator[Graph]:
+    """Every labelled tree on 1..max_n nodes: n**(n-2) of them on n nodes,
+    decoded from their Pruefer sequences in lexicographic order."""
+    for n in range(1, max_n + 1):
+        if n <= 2:
+            yield Graph(n, [(0, 1)] if n == 2 else [])
+            continue
+        for seq in itertools.product(range(n), repeat=n - 2):
+            degree = [1] * n
+            for v in seq:
+                degree[v] += 1
+            edges = []
+            for v in seq:
+                leaf = degree.index(1)
+                edges.append((leaf, v))
+                degree[leaf] -= 1
+                degree[v] -= 1
+            u, w = (v for v in range(n) if degree[v] == 1)
+            edges.append((u, w))
+            yield Graph(n, edges)
+
+
+def connected_labelled(max_n: int) -> Iterator[Graph]:
+    """Every connected labelled graph on 1..max_n nodes, one per mask over
+    the n(n-1)/2 possible edges whose graph is connected."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            if g.is_connected():
+                yield g
 
 
 def replay_expectations(

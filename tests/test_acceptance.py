@@ -23,15 +23,16 @@ from congestds.lp_init import initial_fds
 from congestds.oracles import brute_force_cds
 from congestds.pipeline import run_cds, run_mds_delta, run_mds_n
 from congestds.rounding import one_shot_instance
-from congestds.values import CFDS, ZERO, ln_upper, validate_cfds
+from congestds.values import ln_upper
 
 from corpus_util import (
-    cfds_from_set,
+    ZERO,
     connected_atlas,
     connected_corpus,
     enumerate_coins,
     random_connected,
     replay_expectations,
+    to_units,
 )
 
 EPS_MAIN = Fraction(1, 2)
@@ -73,7 +74,7 @@ def test_criterion_1_validity(main_runs):
     rows, elapsed = main_runs
     bad = 0
     for g, scheme, ds, report in rows:
-        if not report.valid or validate_cfds(g, cfds_from_set(range(g.n), ds)):
+        if not report.valid or undominated(g, ds):
             bad += 1
     ok = bad == 0 and elapsed < 300
     _emit(
@@ -155,9 +156,9 @@ def test_criterion_3_derandomization_dominance(derand_runs):
     violations = 0
     for g, inst, bound, coloring, decomp, color_out, cluster_out in derand_runs:
         n = max(inst.graph.n, 2)
-        if color_out.result.size > bound + Fraction(1, n**7):
+        if len(color_out.result) > bound + Fraction(1, n**7):
             violations += 1
-        if cluster_out.result.size > bound + Fraction(1, n**7):
+        if len(cluster_out.result) > bound + Fraction(1, n**7):
             violations += 1
     _emit(
         3,
@@ -206,7 +207,7 @@ def test_criterion_5_uncover_probability_bounds():
     # one-shot: uniform 1/Delta~ inputs on C5 and the Petersen graph
     for g in (Graph(5, [(i, (i + 1) % 5) for i in range(5)]), petersen()):
         dt = g.delta_tilde
-        xp = CFDS.fds({v: Fraction(1, dt) for v in range(g.n)})
+        xp = to_units([Fraction(1, dt)] * g.n)
         inst = one_shot_instance(g, xp)
         p = inst.x[0] / inst.one
         coins = rng.random((T, g.n)) < p
@@ -294,11 +295,11 @@ def test_criterion_10_cross_scheme_equivalence():
         coloring = greedy_distance2_coloring(g, inst.participating())
         color_out = derandomize_colorwise(inst, coloring)
         cluster_out = derandomize_clusterwise(inst, single_cluster_decomposition(g))
-        if color_out.result.size == cluster_out.result.size:
+        if len(color_out.result) == len(cluster_out.result):
             equal += 1
         if (
-            color_out.result.size <= bound + Fraction(1, n**7)
-            and cluster_out.result.size <= bound + Fraction(1, n**7)
+            len(color_out.result) <= bound + Fraction(1, n**7)
+            and len(cluster_out.result) <= bound + Fraction(1, n**7)
         ):
             bound_ok += 1
     ok = equal >= 95 and bound_ok == len(graphs)

@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from corpus_util import unit_instance
+from corpus_util import to_units, unit_instance
 
 from congestds.bipartite import greedy_distance2_coloring
 from congestds.decomp import compute_decomposition, single_cluster_decomposition
 from congestds.derand_cluster import derandomize_clusterwise, n_one_shot
 from congestds.derand_color import derandomize_colorwise
+from congestds.cds import undominated
 from congestds.errors import PreconditionError
 from congestds.graph import Graph
-from congestds.values import CFDS, validate_cfds
 
 HALF = Fraction(1, 2)
 
@@ -28,7 +28,7 @@ class TestDerandomizeClusterwise:
         g = Graph(3, [(0, 1), (1, 2)])
         inst = unit_instance(g, {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
         out = derandomize_clusterwise(inst, single_cluster_decomposition(g))
-        assert out.result.x[1] == 1
+        assert out.result == [1]
         assert out.fixes == []
 
     def test_k3_matches_size_bound(self):
@@ -36,8 +36,8 @@ class TestDerandomizeClusterwise:
         inst = fractional_instance(g, {v: HALF for v in range(3)})
         nd = single_cluster_decomposition(g)
         out = derandomize_clusterwise(inst, nd)
-        assert validate_cfds(g, out.result) == []
-        assert out.result.size <= out.initial_expectation + Fraction(1, 3**7)
+        assert undominated(g, out.result) == []
+        assert len(out.result) <= out.initial_expectation + Fraction(1, 3**7)
 
     def test_agrees_with_colorwise_on_size(self):
         g = cycle(5)
@@ -46,7 +46,7 @@ class TestDerandomizeClusterwise:
         colorw = derandomize_colorwise(
             inst, greedy_distance2_coloring(g, range(5))
         )
-        assert cluster.result.size == colorw.result.size
+        assert len(cluster.result) == len(colorw.result)
 
     def test_one_record_per_coin(self):
         g = cycle(6)
@@ -86,21 +86,20 @@ class TestDerandomizeClusterwise:
 class TestWrappers:
     def test_n_one_shot_c5(self):
         g = cycle(5)
-        xp = CFDS.fds({v: Fraction(1, 3) for v in range(5)})
+        xp = to_units([Fraction(1, 3)] * 5)
         result, outcome = n_one_shot(g, xp, F=3)
-        assert result.is_integral()
-        assert validate_cfds(g, result) == []
-        assert result.size <= 3
+        assert undominated(g, result) == []
+        assert len(result) <= 3
         assert outcome.simulated_rounds >= 2
 
     def test_n_one_shot_p3(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        xp = CFDS.fds({0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
+        xp = to_units([0, 1, 0])
         result, _ = n_one_shot(g, xp, F=1)
-        assert result.support() == [1]
+        assert result == [1]
 
     def test_n_one_shot_fractionality_check(self):
         g = cycle(5)
-        xp = CFDS.fds({v: Fraction(1, 5) for v in range(5)})
-        with pytest.raises(PreconditionError):
+        xp = to_units([Fraction(1, 5)] * 5)
+        with pytest.raises(PreconditionError, match="fractionality 1/3"):
             n_one_shot(g, xp, F=3)

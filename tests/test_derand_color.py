@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from corpus_util import unit_instance
+from corpus_util import to_units, unit_instance
 
 from congestds.bipartite import Coloring, greedy_distance2_coloring
 from congestds.derand_color import delta_one_shot, derandomize_colorwise
+from congestds.cds import undominated
 from congestds.errors import PreconditionError
 from congestds.graph import Graph
-from congestds.values import CFDS, validate_cfds
 
 HALF = Fraction(1, 2)
 
@@ -26,7 +26,7 @@ class TestDerandomizeColorwise:
         g = Graph(3, [(0, 1), (1, 2)])
         inst = unit_instance(g, {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
         out = derandomize_colorwise(inst, Coloring(color={}, num_colors=0))
-        assert out.result.x == {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}
+        assert out.result == [1]
         assert out.simulated_rounds == 0
         assert out.decisions == []
 
@@ -35,9 +35,9 @@ class TestDerandomizeColorwise:
         inst = fractional_instance(g, {0: HALF, 1: HALF})
         col = greedy_distance2_coloring(g, [0, 1])
         out = derandomize_colorwise(inst, col)
-        assert validate_cfds(g, out.result) == []
+        assert undominated(g, out.result) == []
         # derandomize already checks size <= expectation + 1/n^7
-        assert out.result.size <= out.initial_expectation + Fraction(1, 2**7)
+        assert len(out.result) <= out.initial_expectation + Fraction(1, 2**7)
         assert len(out.decisions) == 2
         for rec in out.decisions:
             assert rec.coin == (1 if rec.a1 < rec.a0 else 0)
@@ -67,39 +67,38 @@ class TestDerandomizeColorwise:
         col = greedy_distance2_coloring(g, range(6))
         a = derandomize_colorwise(inst, col)
         b = derandomize_colorwise(inst, col)
-        assert a.result.x == b.result.x
+        assert a.result == b.result
 
 
 class TestDeltaOneShot:
     def test_p3_unit_input(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        xp = CFDS.fds({0: Fraction(0), 1: Fraction(1), 2: Fraction(0)})
+        xp = to_units([0, 1, 0])
         result, outcome = delta_one_shot(g, xp, F=1)
-        assert result.x == {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)}
+        assert result == [1]
 
     def test_star_center(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        xp = CFDS.fds({0: Fraction(1), 1: Fraction(0), 2: Fraction(0), 3: Fraction(0)})
+        xp = to_units([1, 0, 0, 0])
         result, _ = delta_one_shot(g, xp, F=1)
-        assert result.support() == [0]
+        assert result == [0]
 
     def test_c5_uniform_third(self):
         g = cycle(5)
-        xp = CFDS.fds({v: Fraction(1, 3) for v in range(5)})
+        xp = to_units([Fraction(1, 3)] * 5)
         result, outcome = delta_one_shot(g, xp, F=3)
-        assert result.is_integral()
-        assert validate_cfds(g, result) == []
-        assert result.size <= 3
+        assert undominated(g, result) == []
+        assert len(result) <= 3
         assert outcome.charged_rounds > 0
 
     def test_too_fractional_rejected(self):
         g = cycle(5)
-        xp = CFDS.fds({v: Fraction(1, 5) for v in range(5)})
-        with pytest.raises(PreconditionError):
+        xp = to_units([Fraction(1, 5)] * 5)
+        with pytest.raises(PreconditionError, match="fractionality 1/3"):
             delta_one_shot(g, xp, F=3)
 
     def test_invalid_fds_rejected(self):
         g = cycle(5)
-        xp = CFDS.fds({v: Fraction(1, 4) for v in range(5)})
-        with pytest.raises(PreconditionError):
+        xp = to_units([Fraction(1, 4)] * 5)
+        with pytest.raises(PreconditionError, match="not a valid fractional"):
             delta_one_shot(g, xp, F=4)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus_util import random_connected, replay_expectations
+from corpus_util import random_connected, replay_expectations, to_units
 
 from congestds.bipartite import greedy_distance2_coloring
 from congestds.decomp import compute_decomposition
@@ -20,15 +20,15 @@ from congestds.derand_cluster import derandomize_clusterwise
 from congestds.derand_color import delta_one_shot, derandomize_colorwise
 from congestds.generators import grid, petersen
 from congestds.rounding import one_shot_instance
-from congestds.values import CFDS
 
 
 def local_fds(graph):
-    """x(v) = max over u in N[v] of 1/|N[u]|: a valid FDS needing no LP."""
-    return CFDS.fds({
-        v: max(Fraction(1, graph.degree(u) + 1) for u in graph.closed_neighbors(v))
+    """x(v) = max over u in N[v] of 1/|N[u]|, rounded up to a whole unit
+    2**-iota(n): a valid FDS needing no LP."""
+    return to_units([
+        max(Fraction(1, graph.degree(u) + 1) for u in graph.closed_neighbors(v))
         for v in range(graph.n)
-    })
+    ])
 
 
 def instances():
@@ -44,8 +44,10 @@ def digest(*parts):
     return h.hexdigest()
 
 
-def values(cfds):
-    return sorted((v, str(val)) for v, val in cfds.x.items())
+def values(chosen, n):
+    """The rounded values of nodes 0..n-1: "1" on *chosen*, else "0"."""
+    chosen = set(chosen)
+    return [(v, "1" if v in chosen else "0") for v in range(n)]
 
 
 def decision_rows(decisions):
@@ -61,15 +63,15 @@ def fix_rows(fixes):
 
 COLORWISE = {
     "petersen-one-shot": "e0d6ab5cdd2d422eaed557695a115a7cbe4d9dd7454472403b657cb7d3b96878",
-    "grid4x4-one-shot": "dcc6cfd7afa54ea57b99abcacd7783d1406c633e39bc30c6ba775955b6e1e255",
+    "grid4x4-one-shot": "1e01c05954029e89c5b9bf18038225c86e65677b5eb024e6d1c000a73eda289c",
 }
 
 CLUSTERWISE = {
     "petersen-one-shot": "3f8657030884fd220c90a547127fc6b0b099e4165c08eda1588fabfa970b6bc7",
-    "grid4x4-one-shot": "691056e43396babfd460d6086113f301c7c04844b7dc8f1447164df59a317069",
+    "grid4x4-one-shot": "abfa5960688015cc066e12cf0374aa2980b1359622ddcd58432c874ccce409bf",
 }
 
-DELTA_ONE_SHOT = "85f38f8768c9a868c97567813f6c9d8f5842bcddd738ae8faa37685d486233ca"
+DELTA_ONE_SHOT = "c52719cc751213d6002f657ce19b474d78a3f80e117d021e6bf8ca0a039d50ab"
 
 
 CASES = dict(instances())
@@ -85,7 +87,7 @@ def test_colorwise_logs(name):
         decision_rows(out.decisions),
         [str(e) for e in log],
         str(out.initial_expectation),
-        values(out.result),
+        values(out.result, inst.graph.n),
     ) == COLORWISE[name]
 
 
@@ -99,7 +101,7 @@ def test_clusterwise_logs(name):
         fix_rows(out.fixes),
         [str(e) for e in log],
         str(out.initial_expectation),
-        values(out.result),
+        values(out.result, inst.graph.n),
     ) == CLUSTERWISE[name]
 
 
@@ -110,6 +112,6 @@ def test_delta_one_shot_logs():
     assert digest(
         decision_rows(out.decisions),
         str(out.initial_expectation),
-        values(out.result),
-        values(result),
+        values(out.result, 2 * g.n),
+        values(result, g.n),
     ) == DELTA_ONE_SHOT

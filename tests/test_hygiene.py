@@ -2,7 +2,8 @@
 definitions only tests use are listed, every library exception class is
 raised somewhere, no function keeps a functools cache, the derandomizers
 leave coin fixing to rounding, the expectation oracle builds no Fraction,
-and graph searches are left to ``Graph.bfs_distances``."""
+no value is brought to a common denominator, and graph searches are left to
+``Graph.bfs_distances``."""
 
 import ast
 from pathlib import Path
@@ -344,6 +345,37 @@ def test_detects_fraction_call():
     assert fraction_calls(src, "oracle") == [5, 6]
     assert fraction_calls(src, "caller") == [8]
     assert fraction_calls(src, "missing") == []
+
+
+def lcm_calls(source: str):
+    """Lines that call ``lcm(...)`` or ``<module>.lcm(...)``."""
+    return sorted(
+        call.lineno
+        for call in ast.walk(ast.parse(source))
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) == "lcm"
+             or getattr(call.func, "attr", None) == "lcm")
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_common_denominators(path):
+    """Every value is an integer count of units 2**-iota; a common-denominator
+    pass would mean a second value format has come back."""
+    assert lcm_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_lcm_call():
+    src = (
+        "import math\n"
+        "from math import lcm\n"
+        "def f(a, b):\n"
+        "    den = math.lcm(a, b)\n"
+        "    return lcm(*[a, b]) + den\n"
+        "def g(lcm_of):\n"
+        "    return lcm_of\n"
+    )
+    assert lcm_calls(src) == [4, 5]
 
 
 def adjacency_while_loops(source: str):

@@ -18,35 +18,52 @@ from congestds.lp_init import (
 )
 from congestds.oracles import brute_force_mds
 from congestds.pipeline import run_mds_n
-from congestds.values import CFDS, quantize_up, validate_cfds
+from congestds.values import fractionality, iota_for
 
 #: slack over the optimum that the repaired LP solution must stay within
 TOL = Fraction(1, 4)
+
+
+def one_of(g):
+    """Units of 2**-iota(n) in 1."""
+    return 1 << iota_for(g.n)
+
+
+def infeasible(g, x):
+    """Nodes whose inclusive-neighborhood sum of *x* falls short of 1."""
+    return [
+        v for v in range(g.n)
+        if sum(x[u] for u in g.closed_neighbors(v)) < one_of(g)
+    ]
+
+
+def size(g, x):
+    return Fraction(sum(x), one_of(g))
 
 
 class TestLpFractionalOpt:
     def test_complete_graph_near_one(self):
         g = complete(6)
         d = lp_fractional_opt(g)
-        assert validate_cfds(g, d) == []
-        assert d.size <= (1 + TOL) * 1
+        assert infeasible(g, d) == []
+        assert size(g, d) <= (1 + TOL) * 1
 
     def test_c5_near_five_thirds(self):
         g = generate_graph("cycle", {"n": 5})
         d = lp_fractional_opt(g)
-        assert validate_cfds(g, d) == []
-        assert d.size <= (1 + TOL) * Fraction(5, 3)
+        assert infeasible(g, d) == []
+        assert size(g, d) <= (1 + TOL) * Fraction(5, 3)
 
     def test_star_center_only(self):
         g = generate_graph("star", {"m": 6})
         d = lp_fractional_opt(g)
-        assert validate_cfds(g, d) == []
-        assert d.size <= (1 + TOL) * 1
+        assert infeasible(g, d) == []
+        assert size(g, d) <= (1 + TOL) * 1
 
     def test_edgeless_all_ones(self):
         g = Graph(3, [])
         d = lp_fractional_opt(g)
-        assert d.x == {v: Fraction(1) for v in range(3)}
+        assert d == (one_of(g),) * 3
 
     def test_charges_rounds(self):
         # eps = 1/2 gives eps1 = 1/32, and the solver runs at eps1/2 = 1/64
@@ -66,7 +83,7 @@ class TestLpFractionalOpt:
             g = generate_graph(kind, params)
             d = lp_fractional_opt(g)
             opt, _ = brute_force_mds(g)
-            assert d.size <= (1 + TOL) * opt
+            assert size(g, d) <= (1 + TOL) * opt
 
 
 class TestInitialFds:
@@ -75,27 +92,25 @@ class TestInitialFds:
         eps = Fraction(1, 2)
         d = initial_fds(g, eps)
         floor = eps / (2 * g.max_degree)
-        assert all(val >= floor for val in d.x.values())
-        assert validate_cfds(g, d) == []
+        assert all(Fraction(u, one_of(g)) >= floor for u in d)
+        assert infeasible(g, d) == []
 
     def test_petersen_size_and_fractionality(self):
-        from congestds.values import fractionality
-
         g = petersen()
         eps = Fraction(1, 2)
         d = initial_fds(g, eps)
-        assert validate_cfds(g, d) == []
+        assert infeasible(g, d) == []
         # LP optimum is 10/4; lift adds at most n * eps/(2*Delta)
-        assert d.size <= (1 + eps / 2) * Fraction(10, 4) + 10 * eps / 6
-        assert fractionality(d) >= Fraction(1, 12)
+        assert size(g, d) <= (1 + eps / 2) * Fraction(10, 4) + 10 * eps / 6
+        assert fractionality(d, one_of(g)) >= Fraction(1, 12)
 
     def test_edgeless(self):
         d = initial_fds(Graph(2, []), Fraction(1, 2))
-        assert d.x == {0: Fraction(1), 1: Fraction(1)}
+        assert d == (1024, 1024)
 
     def test_deterministic(self):
         g = generate_graph("gnp", {"n": 12, "p": 0.3}, seed=5)
-        assert initial_fds(g, TOL).x == initial_fds(g, TOL).x
+        assert initial_fds(g, TOL) == initial_fds(g, TOL)
 
 
 class TestSolverSplit:
@@ -115,7 +130,7 @@ class TestSolverSplit:
         for n in (10, IPM_MIN_NODES):
             g = generate_graph("path", {"n": n})
             x = lp_init._lp_solution(g)
-            assert validate_cfds(g, CFDS.fds(dict(enumerate(x)))) == []
+            assert infeasible(g, x) == []
         assert [method for method, _ in calls] == ["highs", "highs-ipm"]
         assert [sparse.issparse(a) for _, a in calls] == [False, True]
 
@@ -161,7 +176,7 @@ def _random_graphs(rng, count, lo, hi):
 def _fraction_repair(graph, floats):
     """The repair on Fractions: clip to [0, 1], divide by the smallest
     inclusive-neighborhood sum if it is below 1, cap at 1, round up to the
-    grid of 2**-iota(n)."""
+    grid of 2**-iota(n), in units."""
     raw = [Fraction(min(max(float(val), 0.0), 1.0)) for val in floats]
     min_sum = min(
         raw[v] + sum((raw[u] for u in graph.adj[v]), Fraction(0))
@@ -169,7 +184,8 @@ def _fraction_repair(graph, floats):
     )
     if min_sum < 1:
         raw = [min(Fraction(1), val / min_sum) for val in raw]
-    return tuple(quantize_up(val, graph.n) for val in raw), min_sum < 1
+    one = one_of(graph)
+    return tuple(-((-val * one) // 1) for val in raw), min_sum < 1
 
 
 @pytest.mark.parametrize("side", ["simplex", "ipm"])

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from corpus_util import enumerate_coins, replay_expectations, unit_instance
+from corpus_util import enumerate_coins, replay_expectations, to_units, unit_instance
 
-from congestds.errors import DomainError, PrecisionError
+from congestds.derand_cluster import n_one_shot
+from congestds.derand_color import delta_one_shot
+from congestds.errors import DomainError, PrecisionError, PreconditionError
 from congestds.graph import Graph
 from congestds.rounding import (
     RoundingInstance,
@@ -20,13 +22,29 @@ from congestds.rounding import (
     rounded_output,
     scale_values,
 )
-from congestds.values import CFDS, iota_for, ln_upper, quantize_up, validate_cfds
+from congestds.values import iota_for, ln_upper
 
 HALF = Fraction(1, 2)
 
 
 def k2_half():
     return unit_instance(Graph(2, [(0, 1)]), {0: HALF, 1: HALF})
+
+
+def unmet(inst, chosen):
+    """Nodes whose constraint the rounded set misses: the count of chosen
+    nodes in N[v], in units, falls short of c(v)."""
+    chosen = set(chosen)
+    return [
+        v for v in range(inst.graph.n)
+        if len(chosen.intersection(inst.graph.closed_neighbors(v))) * inst.one
+        < inst.c[v]
+    ]
+
+
+def ceil_units(value, one):
+    """*value* rounded up to a whole number of units 1/one, in units."""
+    return -((-value * one) // 1)
 
 
 def expectation(inst, fixed, u):
@@ -94,9 +112,7 @@ class TestInstanceValidation:
                 v: 1 if X[v] + sum(X[u] for u in g.adj[v]) < c[v] else X[v]
                 for v in range(n)
             }
-            out = rounded_output(inst, coins)
-            assert out.x == want
-            assert out.c == c
+            assert rounded_output(inst, coins) == [v for v in range(n) if want[v]]
 
 
 class TestPhases:
@@ -105,8 +121,7 @@ class TestPhases:
         inst = unit_instance(
             Graph(2, [(0, 1)]), {0: HALF, 1: HALF}, {0: Fraction(0), 1: Fraction(0)}
         )
-        out = rounded_output(inst, {0: 1, 1: 0})
-        assert out.x == {0: Fraction(1), 1: Fraction(0)}
+        assert rounded_output(inst, {0: 1, 1: 0}) == [0]
 
     def test_phase1_missing_coin(self):
         with pytest.raises(DomainError, match=r"not so at \[1\]$"):
@@ -122,63 +137,77 @@ class TestPhases:
                              ({0: 1, 1: 1, 2: 0}, "[1, 2]")):
             with pytest.raises(DomainError, match=f"not so at {re.escape(wrong)}$"):
                 rounded_output(inst, coins)
-        assert rounded_output(inst, {0: 0}).x == {0: 0, 1: 1, 2: 0}
+        assert rounded_output(inst, {0: 0}) == [1]
 
     def test_phase2_raises_uncovered(self):
         inst = k2_half()
         out = rounded_output(inst, {0: 0, 1: 0})
-        assert out.x == {0: Fraction(1), 1: Fraction(1)}
-        assert validate_cfds(inst.graph, out) == []
+        assert out == [0, 1]
+        assert unmet(inst, out) == []
 
     def test_phase2_keeps_covered(self):
-        out = rounded_output(k2_half(), {0: 1, 1: 0})
-        assert out.x == {0: Fraction(1), 1: Fraction(0)}
+        assert rounded_output(k2_half(), {0: 1, 1: 0}) == [0]
 
     def test_output_always_valid(self):
         inst = k2_half()
         for coins in itertools.product((0, 1), repeat=2):
             out = rounded_output(inst, dict(enumerate(coins)))
-            assert validate_cfds(inst.graph, out) == []
+            assert unmet(inst, out) == []
 
 
 class TestInstanceBuilders:
     def test_one_shot_scales_by_log(self):
         g = Graph(5, [(i, (i + 1) % 5) for i in range(5)])  # C5, delta_tilde 3
-        xp = CFDS.fds({v: Fraction(1, 3) for v in range(5)})
+        xp = to_units([Fraction(1, 3)] * 5)
         inst = one_shot_instance(g, xp)
-        target = Fraction(1, 3) * ln_upper(3)
+        target = Fraction(xp[0], inst.one) * ln_upper(3)
         for v in range(5):
-            assert Fraction(inst.x[v], inst.one) == quantize_up(target, 5)
+            assert inst.x[v] == ceil_units(target, inst.one)
         assert inst.c == {v: inst.one for v in range(5)}
 
     def test_one_shot_caps_at_one(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])  # delta_tilde 4, ln 4 > 1
-        xp = CFDS.fds({v: Fraction(1) for v in range(4)})
+        xp = to_units([Fraction(1)] * 4)
         inst = one_shot_instance(g, xp)
         assert inst.x == {v: inst.one for v in range(4)}
 
     def test_one_shot_needs_nontrivial_neighborhood(self):
-        with pytest.raises(DomainError):
-            one_shot_instance(Graph(1, []), CFDS.fds({0: Fraction(1)}))
+        # one check, in the stage check both one-shot wrappers share
+        for stage in (n_one_shot, delta_one_shot):
+            with pytest.raises(PreconditionError, match="at least one edge"):
+                stage(Graph(1, []), (1,), 1)
+
+    def test_one_shot_needs_one_value_per_node(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        for stage in (n_one_shot, delta_one_shot):
+            for xp in (to_units([1, 1]), to_units([1, 1, 1, 1])):
+                with pytest.raises(DomainError, match="values for 3 nodes"):
+                    stage(g, xp, 1)
 
     def test_scale_values_matches_fraction_reference(self):
-        """Integer scaling equals factor * x' capped at 1 and quantized up,
-        in units, on dyadic and non-dyadic x' and both kinds of factor."""
+        """Integer scaling equals factor * x' capped at 1 and rounded up to a
+        whole unit at the ambient width, for x' in units of 2**-iota(n), at
+        the input's own width and at twice its node count, for both kinds
+        of factor."""
         rng = random.Random("scale-values")
         for _ in range(200):
             n = rng.randint(1, 40)
-            den = rng.choice([3, 7, 16, 1 << 30, 12])
-            xp = CFDS.fds({v: Fraction(rng.randint(0, den), den) for v in range(n)})
+            one_n = 1 << iota_for(n)
+            xp = tuple(
+                rng.choice([0, one_n, rng.randint(0, one_n), -(-one_n // 3)])
+                for _ in range(n)
+            )
             factor = rng.choice(
                 [ln_upper(rng.randint(2, 60)), 1 + Fraction(1, rng.randint(1, 9))]
             )
-            x = scale_values(xp, factor, n)
-            one = 1 << iota_for(max(n, 2))
+            ambient = rng.choice([n, 2 * n])
+            x = scale_values(xp, factor, ambient)
+            one = 1 << iota_for(max(ambient, 2))
             for v in range(n):
-                val = factor * xp.x[v]
-                want = Fraction(1) if val >= 1 else quantize_up(val, max(n, 2))
+                val = factor * Fraction(xp[v], one_n)
+                want = one if val >= 1 else ceil_units(val, one)
                 assert type(x[v]) is int
-                assert Fraction(x[v], one) == want
+                assert x[v] == want
 
 
 class TestExactExpectations:
@@ -219,7 +248,7 @@ class TestExactExpectations:
             for v in range(3):
                 w *= p[v] if coins[v] else 1 - p[v]
             out = rounded_output(inst, dict(enumerate(coins)))
-            total += w * out.size
+            total += w * len(out)
         assert expected_output_size(inst, {}) == total
 
     def test_per_node_values_match_enumeration(self):
@@ -245,7 +274,7 @@ class TestExactExpectations:
             X = {v: 1 if x[v] == 1 or coins.get(v) else 0 for v in range(6)}
             out = rounded_output(inst, coins)
             for v in range(6):
-                expect[v] += w * out.x[v]
+                expect[v] += w * (v in out)
                 if X[v] + sum(X[u] for u in g.adj[v]) < c[v]:
                     uncover[v] += w
         for v in range(6):
@@ -261,7 +290,7 @@ class TestExactExpectations:
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < 0.4])
             width = max(n, 2)
-            xp = CFDS.fds({v: Fraction(rng.randint(1, 16), 16) for v in range(n)})
+            xp = to_units([Fraction(rng.randint(1, 16), 16) for v in range(n)])
             if g.delta_tilde < 2:
                 continue
             inst = one_shot_instance(g, xp)
@@ -293,9 +322,9 @@ def random_fixes(rng, inst):
 
 def random_fds(rng, n):
     """Values with zeros and values that scale past 1 (so x in {0, 1})."""
-    return CFDS.fds({
-        v: Fraction(rng.choice([0, 1, 1, 2, 3, 5, 8, 16]), 16) for v in range(n)
-    })
+    return to_units([
+        Fraction(rng.choice([0, 1, 1, 2, 3, 5, 8, 16]), 16) for v in range(n)
+    ])
 
 
 def random_graph(rng, n):
@@ -374,7 +403,7 @@ class TestDerandomize:
             g = random_graph(rng, n)
             yield rng, one_shot_instance(g, random_fds(rng, n))
         g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        yield rng, delta_host(g, CFDS.fds({v: Fraction(1, 3) for v in range(6)}))
+        yield rng, delta_host(g, to_units([Fraction(1, 3)] * 6))
 
     def test_decisions_follow_order(self):
         seen = 0
@@ -385,7 +414,7 @@ class TestDerandomize:
             assert [d[0] for d in decisions] == order
             for v, s0, s1, coin in decisions:
                 assert coin == (1 if s1 < s0 else 0)
-            assert validate_cfds(inst.graph, result) == []
+            assert unmet(inst, result) == []
             seen += len(order)
         assert seen > 0
 
@@ -402,7 +431,7 @@ class TestDerandomize:
                 slack = Fraction(len(inst.graph.closed_neighbors(v)), n**10)
                 assert after - before < slack
             # with every coin fixed the expectation is the output size
-            assert trace[-1] == result.size
+            assert trace[-1] == len(result)
 
     def test_order_must_name_each_coin_once(self):
         inst = k2_half()
