@@ -12,16 +12,19 @@ constraint c(v) > 0 is unsatisfied exactly when N[v] holds no 1.
 conditional expectations, in the order a derandomizer gives; the two
 derandomizers differ only in that order and its round cost.  The coins
 fixed so far are a plain dict, node -> 0 or 1; a node absent from it reads
-its coin from x.  :func:`conditional_expected_value` computes exact
-conditional expectations given those fixes in closed form, as an integer
-numerator over a power of two.
+its coin from x.  :class:`CoinState` holds each node's closed form given
+those fixes: the resolved 1s of N[u], and the product and number of its
+live coins' failure chances.  :func:`conditional_expected_value` reads one
+exact conditional expectation from it in O(1), as an integer numerator over
+a power of two; fixing coin v updates only the states in N[v], so deciding
+a coin costs O(|N[v]|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, InvariantViolation, PrecisionError, PreconditionError
 from .graph import Graph
@@ -107,83 +110,104 @@ def one_shot_instance(graph: Graph, xprime: Sequence[int]) -> RoundingInstance:
 # -- exact expectation engine ------------------------------------------------
 
 
-def conditional_expected_value(
-    inst: RoundingInstance, fixed: Dict[int, int], u: int
-) -> Tuple[int, int]:
-    """E[Z_u] given the coins in *fixed*, as ``(numerator, denominator)``,
-    where Z_u = 1 if u ends phase 1 uncovered, else X_u.
+class CoinState:
+    """The closed-form coin state of every node, given the coins in *fixed*.
 
     A node absent from *fixed* holds a live coin iff 0 < x < one; it
-    succeeds with probability x/one.  A successful coin sets its node to 1,
-    which meets c(u) <= 1 on its own, so u is uncovered exactly when
-    c(u) > 0, no resolved node of N[u] is 1 and every live coin of N[u]
-    fails.  The denominator is one to the power of N[u]'s live coins.
+    succeeds with probability x/one.  ``own[v]`` is v's chance of ending
+    phase 1 at 1, in units: x for a live coin, else one or 0.  For each
+    node u, ``ones[u]`` counts the resolved 1s of N[u], plus one if
+    c(u) = 0 (such a u is never uncovered); ``miss[u]`` is the product of
+    one - x over the live coins of N[u], and ``k[u]`` their number, so
+    Pr(every live coin of N[u] fails) = miss / one**k.  :meth:`fix`
+    updates only N[v].
     """
-    x = inst.x
-    one = inst.one
-    get = fixed.get
-    covered = not inst.c[u]
-    # Pr(every live coin fails) = miss / den
-    miss = den = 1
-    for w in inst.graph.closed_neighbors(u):
-        coin = get(w)
-        if coin is None:
-            xw = x[w]
-            if xw == one:
-                covered = True
-            elif xw:
-                miss *= one - xw
-                den *= one
-        elif coin:
-            covered = True
-    # an uncovered u counts 1, a covered one X_u
-    uncovered = 0 if covered else miss
-    coin = get(u)
-    if coin is None:
-        xu = x[u]
-        if 0 < xu < one:
-            # a live u is covered whenever its own coin succeeds
-            return uncovered + xu * (den // one), den
-        coin = xu == one
-    return (den if coin else uncovered), den
+
+    __slots__ = ("closed", "iota", "one", "own", "ones", "miss", "k")
+
+    def __init__(self, inst: RoundingInstance, fixed: Dict[int, int]):
+        x, c, one = inst.x, inst.c, inst.one
+        self.closed = inst.graph.closed_neighbors
+        self.iota, self.one = inst.iota, one
+        nodes = range(inst.graph.n)
+        own = self.own = [fixed[v] * one if v in fixed else x[v] for v in nodes]
+        self.ones, self.miss, self.k = [], [], []
+        for u in nodes:
+            ones, miss, k = 0 if c[u] else 1, 1, 0
+            for w in self.closed(u):
+                p = own[w]
+                if p == one:
+                    ones += 1
+                elif p:
+                    miss *= one - p
+                    k += 1
+            self.ones.append(ones)
+            self.miss.append(miss)
+            self.k.append(k)
+
+    def expected_size(self) -> Fraction:
+        """Exact expected phase-2 output size, the sum of E[Z_u] over all
+        nodes: each read is shifted onto the largest denominator,
+        2**(iota * (max k + 1)), and one Fraction is built for the sum."""
+        top = self.iota * (max(self.k, default=0) + 1)
+        total = 0
+        for u in range(len(self.k)):
+            num, shift = conditional_expected_value(self, u)
+            total += num << (top - shift)
+        return Fraction(total, 1 << top)
+
+    def fix(self, v: int, coin: int) -> None:
+        """Fix live coin v to *coin*, in O(|N[v]|); the division is exact
+        because one - x(v) is a factor of every ``miss`` it touches."""
+        fail = self.one - self.own[v]
+        self.own[v] = coin * self.one
+        for u in self.closed(v):
+            self.k[u] -= 1
+            self.miss[u] //= fail
+            self.ones[u] += coin
 
 
-def branch_sum(
-    inst: RoundingInstance,
-    fixed: Dict[int, int],
-    nodes: Sequence[int],
-    unit: Fraction,
-) -> Fraction:
-    """Sum of E[Z_u] over *nodes*, each rounded up to a multiple of *unit*.
+def conditional_expected_value(
+    state: CoinState, u: int, v: Optional[int] = None, coin: int = 0
+) -> Tuple[int, int]:
+    """E[Z_u] as ``(num, shift)``, meaning num / 2**shift, where Z_u = 1 if
+    u ends phase 1 uncovered, else X_u; with *v* given, live coin v of N[u]
+    reads as set to *coin*.  O(1): it reads u's state only.
 
-    This is the quantity the derandomizers compare between the two branches
-    of a coin.  The ceilings are integer floor divisions; one Fraction is
-    built for the sum.
+    A successful coin sets its node to 1, which meets c(u) <= 1 on its own,
+    so u is uncovered exactly when ``ones[u]`` is 0 and every live coin of
+    N[u] fails; then X_u = 0, so E[Z_u] = Pr(uncovered) + own[u] / one.
     """
-    scale, step = unit.denominator, unit.numerator
+    ones, miss, k, own = state.ones[u], state.miss[u], state.k[u], state.own[u]
+    iota = state.iota
+    if v is not None:
+        k -= 1
+        if u == v:
+            own = coin << iota
+        if coin:
+            return own << (iota * k), iota * (k + 1)
+        if not ones:
+            miss //= state.one - state.own[v]
+    shift = iota * k
+    # over one**(k + 1): Pr(uncovered) * one + own * one**k
+    return (0 if ones else miss << iota) + (own << shift), shift + iota
+
+
+def branch_sum(state: CoinState, v: int, coin: int, scale: int) -> int:
+    """Sum of E[Z_u] over u in N[v] with live coin v set to *coin*, each
+    rounded up to a whole multiple of 1/*scale*, in units 1/*scale*: the
+    quantity the derandomizers compare between the two branches of a coin.
+    Each ceiling is a shift."""
     total = 0
-    for u in nodes:
-        num, den = conditional_expected_value(inst, fixed, u)
-        # most expectations are 0 once neighbors are fixed
-        if num:
-            total -= (-num * scale) // (den * step)
-    return Fraction(total * step, scale)
+    for u in state.closed(v):
+        num, shift = conditional_expected_value(state, u, v, coin)
+        total -= (-num * scale) >> shift
+    return total
 
 
 def expected_output_size(inst: RoundingInstance, fixed: Dict[int, int]) -> Fraction:
-    """Exact expected phase-2 output size: sum of E[Z_v] over all nodes.
-
-    Every denominator is a power of two, so the largest one so far is a
-    common denominator; one Fraction is built for the sum.
-    """
-    total, common = 0, 1
-    for v in range(inst.graph.n):
-        num, den = conditional_expected_value(inst, fixed, v)
-        if den > common:
-            total *= den // common
-            common = den
-        total += num * (common // den)
-    return Fraction(total, common)
+    """Exact expected phase-2 output size given the coins in *fixed*."""
+    return CoinState(inst, fixed).expected_size()
 
 
 def rounded_output(inst: RoundingInstance, coins: Dict[int, int]) -> List[int]:
@@ -233,22 +257,21 @@ def derandomize(
     decisions in order, and the exact initial expectation.
     """
     n = max(inst.graph.n, 2)
-    unit = Fraction(1, n**10)
+    scale = n**10
     x, one = inst.x, inst.one
     coins: Dict[int, int] = {}
-    initial = expected_output_size(inst, coins)
+    state = CoinState(inst, coins)
+    initial = state.expected_size()
     decisions: List[Tuple[int, Fraction, Fraction, int]] = []
     for v in order:
         if v in coins or not 0 < x.get(v, 0) < one:
             raise DomainError(f"node {v} has no undecided coin to fix")
-        affected = inst.graph.closed_neighbors(v)
-        coins[v] = 0
-        s0 = branch_sum(inst, coins, affected, unit)
-        coins[v] = 1
-        s1 = branch_sum(inst, coins, affected, unit)
+        s0 = branch_sum(state, v, 0, scale)
+        s1 = branch_sum(state, v, 1, scale)
         coin = 1 if s1 < s0 else 0
+        state.fix(v, coin)
         coins[v] = coin
-        decisions.append((v, s0, s1, coin))
+        decisions.append((v, Fraction(s0, scale), Fraction(s1, scale), coin))
     chosen = rounded_output(inst, coins)
     # every output value is 0 or 1 and every c <= one, so c(v) is met
     # exactly when c(v) = 0 or N[v] holds a chosen node

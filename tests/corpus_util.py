@@ -1,7 +1,7 @@
 """Graph corpora for property and acceptance tests, builders of rounding
 instances and fractional dominating sets in integer units from plain values,
-a replay of coin fixes, and an exact coin-enumeration reference for
-conditional expectations.
+a replay of coin fixes, and two exact references for conditional
+expectations: a rescan of each closed neighborhood and a coin enumeration.
 
 Connected graphs up to 7 nodes come from the networkx atlas; the 8-node
 connected graphs are produced by augmenting every connected 7-node graph
@@ -206,6 +206,45 @@ def replay_expectations(
         fixed[v] = coin
         out.append(expected_output_size(inst, fixed))
     return out
+
+
+def scan_expected_value(
+    inst: RoundingInstance, fixed: Dict[int, int], u: int
+) -> Tuple[int, int]:
+    """E[Z_u] given the coins in *fixed*, as ``(numerator, denominator)``,
+    by a fresh scan of N[u]: the closed form that
+    :class:`congestds.rounding.CoinState` keeps incrementally.
+
+    A node absent from *fixed* holds a live coin iff 0 < x < one.  u is
+    uncovered exactly when c(u) > 0, no resolved node of N[u] is 1 and every
+    live coin of N[u] fails; the denominator is one to the power of N[u]'s
+    live coins.
+    """
+    x, one, get = inst.x, inst.one, fixed.get
+    covered = not inst.c[u]
+    # Pr(every live coin fails) = miss / den
+    miss = den = 1
+    for w in inst.graph.closed_neighbors(u):
+        coin = get(w)
+        if coin is None:
+            xw = x[w]
+            if xw == one:
+                covered = True
+            elif xw:
+                miss *= one - xw
+                den *= one
+        elif coin:
+            covered = True
+    # an uncovered u counts 1, a covered one X_u
+    uncovered = 0 if covered else miss
+    coin = get(u)
+    if coin is None:
+        xu = x[u]
+        if 0 < xu < one:
+            # a live u is covered whenever its own coin succeeds
+            return uncovered + xu * (den // one), den
+        coin = xu == one
+    return (den if coin else uncovered), den
 
 
 def enumerate_coins(

@@ -198,6 +198,9 @@ TEST_ONLY = {
     # helpers that tests build and inspect graphs with
     "Graph.distance",
     "complete",
+    # the expected output size for a plain dict of fixes, which tests replay
+    # coin fixes with; derandomize reads it from the CoinState it keeps
+    "expected_output_size",
 }
 
 
@@ -288,8 +291,8 @@ def test_detects_dead_exception_class():
 
 #: the coin-fixing machinery, which only rounding.derandomize may drive
 COIN_FIXING = {
-    "branch_sum", "conditional_expected_value", "expected_output_size",
-    "rounded_output",
+    "CoinState", "branch_sum", "conditional_expected_value",
+    "expected_output_size", "rounded_output",
 }
 
 
@@ -325,8 +328,8 @@ def fraction_calls(source: str, name: str):
 
 def test_expectation_oracle_builds_no_fraction():
     """``conditional_expected_value`` runs 2|N[v]| times per coin; it
-    returns an integer numerator and denominator, and its callers build one
-    Fraction per sum."""
+    returns an integer numerator and a power-of-two shift, and no caller
+    builds a Fraction per read."""
     source = (SRC / "rounding.py").read_text(encoding="utf-8")
     assert fraction_calls(source, "conditional_expected_value") == []
 
@@ -345,6 +348,45 @@ def test_detects_fraction_call():
     assert fraction_calls(src, "oracle") == [5, 6]
     assert fraction_calls(src, "caller") == [8]
     assert fraction_calls(src, "missing") == []
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def loop_lines(source: str, name: str):
+    """Lines on which the top-level function *name* holds a ``for`` or
+    ``while`` loop or a comprehension."""
+    return sorted(
+        node.lineno
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef) and fn.name == name
+        for node in ast.walk(fn)
+        if isinstance(node, LOOPS)
+    )
+
+
+def test_expectation_oracle_has_no_loop():
+    """``conditional_expected_value`` reads one node's coin state in O(1);
+    a loop in it would mean a rescan of N[u] has come back."""
+    source = (SRC / "rounding.py").read_text(encoding="utf-8")
+    assert loop_lines(source, "conditional_expected_value") == []
+
+
+def test_detects_loop_in_oracle():
+    src = (
+        "def oracle(state, u):\n"
+        "    for w in state.closed(u):\n"
+        "        pass\n"
+        "    while u:\n"
+        "        u -= 1\n"
+        "    return sum(w for w in state.own), [w for w in state.k]\n"
+        "def caller(state, nodes):\n"
+        "    return {u: oracle(state, u) for u in nodes}\n"
+    )
+    assert loop_lines(src, "oracle") == [2, 4, 6, 6]
+    assert loop_lines(src, "caller") == [8]
+    assert loop_lines(src, "missing") == []
 
 
 def lcm_calls(source: str):

@@ -6,13 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from corpus_util import enumerate_coins, replay_expectations, to_units, unit_instance
+from corpus_util import (
+    enumerate_coins,
+    replay_expectations,
+    scan_expected_value,
+    to_units,
+    unit_instance,
+)
 
 from congestds.derand_cluster import n_one_shot
 from congestds.derand_color import delta_one_shot
 from congestds.errors import DomainError, PrecisionError, PreconditionError
 from congestds.graph import Graph
 from congestds.rounding import (
+    CoinState,
     RoundingInstance,
     branch_sum,
     conditional_expected_value,
@@ -48,8 +55,10 @@ def ceil_units(value, one):
 
 
 def expectation(inst, fixed, u):
-    """conditional_expected_value as one Fraction."""
-    return Fraction(*conditional_expected_value(inst, fixed, u))
+    """conditional_expected_value, read from a state built from *fixed*,
+    as one Fraction."""
+    num, shift = conditional_expected_value(CoinState(inst, fixed), u)
+    return Fraction(num, 1 << shift)
 
 
 class TestInstanceValidation:
@@ -216,9 +225,8 @@ class TestExactExpectations:
 
     def test_conditional_value_k2(self):
         # Z_0 = 1 when both fail (prob 1/4), else X_0 = coin_0
-        num, den = conditional_expected_value(k2_half(), {}, 0)
-        assert Fraction(num, den) == Fraction(3, 4)
-        assert den & (den - 1) == 0  # a power of two
+        num, shift = conditional_expected_value(CoinState(k2_half(), {}), 0)
+        assert Fraction(num, 1 << shift) == Fraction(3, 4)
 
     def test_conditioning_on_coin(self):
         inst = k2_half()
@@ -282,9 +290,12 @@ class TestExactExpectations:
             assert enumerate_coins(inst, fixed, v) == (expect[v], uncover[v])
 
     def test_branch_sum_equals_fraction_ceilings(self):
-        """branch_sum equals the sum over the nodes of ceil(alpha * n^10) /
-        n^10 under random partial fixes."""
+        """branch_sum over N[v] with live coin v set to 0 or 1 equals the sum
+        over N[v] of ceil(alpha * n^10), in units n^-10, where alpha is the
+        enumerated expectation with v fixed that way, under random partial
+        fixes."""
         rng = random.Random("branch-sum:coin")
+        checked = 0
         for _ in range(60):
             n = rng.randint(2, 9)
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -298,17 +309,20 @@ class TestExactExpectations:
             fixed = {
                 v: rng.randint(0, 1) for v in rng.sample(S, rng.randint(0, len(S)))
             }
-            unit = Fraction(1, width**10)
-            nodes = rng.sample(range(n), rng.randint(1, n))
-            want = Fraction(0)
-            for u in nodes:
-                alpha = expectation(inst, fixed, u)
-                want += Fraction(math.ceil(alpha * width**10), width**10)
-            assert branch_sum(inst, fixed, nodes, unit) == want
+            state = CoinState(inst, fixed)
+            for v in (v for v in S if v not in fixed):
+                for coin in (0, 1):
+                    want = 0
+                    for u in g.closed_neighbors(v):
+                        alpha, _ = enumerate_coins(inst, {**fixed, v: coin}, u)
+                        want += math.ceil(alpha * width**10)
+                    assert branch_sum(state, v, coin, width**10) == want
+                    checked += 1
             total = sum(
-                (expectation(inst, fixed, u) for u in range(n)), Fraction(0)
+                (enumerate_coins(inst, fixed, u)[0] for u in range(n)), Fraction(0)
             )
             assert expected_output_size(inst, fixed) == total
+        assert checked > 100
 
 
 def random_fixes(rng, inst):
@@ -392,6 +406,80 @@ class TestClosedForm:
         assert seen == {"live", "fixed to 0", "fixed to 1", "x = 0", "x = 1"}
 
 
+def scan_decisions(inst, order):
+    """derandomize's ``(v, s0, s1, coin)`` decisions, with every branch
+    expectation taken by :func:`scan_expected_value` from a dict of fixes."""
+    n = max(inst.graph.n, 2)
+    fixed, out = {}, []
+    for v in order:
+        sums = []
+        for coin in (0, 1):
+            fixed[v] = coin
+            total = Fraction(0)
+            for u in inst.graph.closed_neighbors(v):
+                alpha = Fraction(*scan_expected_value(inst, fixed, u))
+                total += Fraction(math.ceil(alpha * n**10), n**10)
+            sums.append(total)
+        fixed[v] = coin = 1 if sums[1] < sums[0] else 0
+        out.append((v, sums[0], sums[1], coin))
+    return out
+
+
+class TestIncrementalState:
+    """The incremental CoinState equals a rescan of each closed neighborhood,
+    on one-shot instances and color-ordered bipartite hosts (nodes with
+    x = one, with x = 0 and with c = 0) of 2-40 nodes, after a random
+    sequence of fixes."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random("incremental-state")
+        for i in range(200):
+            n = rng.randint(2, 40)
+            p = rng.choice([0.05, 0.15, 0.4])
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            maker = one_shot_instance if i % 2 else delta_host
+            yield rng, maker(g, random_fds(rng, n))
+
+    def test_matches_rescan(self):
+        seen = set()
+        for rng, inst in self.instances():
+            live = inst.participating()
+            rng.shuffle(live)
+            done = rng.randint(0, len(live))
+            state, fixed = CoinState(inst, {}), {}
+            for v in live[:done]:
+                fixed[v] = coin = rng.randint(0, 1)
+                state.fix(v, coin)
+                seen.add(f"fixed to {coin}")
+            fresh = CoinState(inst, fixed)
+            for name in ("own", "ones", "miss", "k"):
+                assert getattr(state, name) == getattr(fresh, name), name
+            for u in range(inst.graph.n):
+                num, shift = conditional_expected_value(state, u)
+                want = Fraction(*scan_expected_value(inst, fixed, u))
+                assert Fraction(num, 1 << shift) == want
+                seen.update(k for k, on in (("c = 0", not inst.c[u]),
+                                            ("x = one", inst.x[u] == inst.one)) if on)
+            for v in live[done:]:
+                for coin in (0, 1):
+                    branch = {**fixed, v: coin}
+                    for u in inst.graph.closed_neighbors(v):
+                        num, shift = conditional_expected_value(state, u, v, coin)
+                        want = Fraction(*scan_expected_value(inst, branch, u))
+                        assert Fraction(num, 1 << shift) == want
+                seen.add("branch")
+        assert seen == {"fixed to 0", "fixed to 1", "c = 0", "x = one", "branch"}
+
+    def test_decisions_match_rescan(self):
+        for rng, inst in self.instances():
+            order = inst.participating()
+            rng.shuffle(order)
+            _, decisions, _ = derandomize(inst, order)
+            assert decisions == scan_decisions(inst, order)
+
+
 class TestDerandomize:
     """derandomize fixes the coins in the order given, one decision each,
     and keeps coin 1 exactly when its branch sum is the smaller."""
@@ -447,3 +535,9 @@ class TestDerandomize:
         inst = unit_instance(g, {0: HALF, 1: Fraction(1), 2: Fraction(0)})
         with pytest.raises(DomainError):
             derandomize(inst, [0, 1])
+        # outside the host's nodes, even where node n - 1 holds a live coin:
+        # neither a wrap-around to node n - 1 nor an IndexError
+        k2 = k2_half()
+        for v in (-1, k2.graph.n):
+            with pytest.raises(DomainError, match=f"^node {v} has no undecided coin"):
+                derandomize(k2, [0, v])
