@@ -108,7 +108,7 @@ def bfs_clustering(
 ) -> CdsClustering:
     """Grow clusters from the centers in three-round phases.
 
-    Per phase: (1) unclustered non-S neighbors of S-nodes clustered last
+    Per phase: (1) unclustered non-S neighbors of anything clustered last
     phase join, (2) unclustered non-S neighbors of round-1 joiners join,
     (3) unclustered S-nodes adjacent to anything newly clustered join.
     Parent choice is always the lowest-id eligible neighbor.  Afterwards
@@ -124,7 +124,7 @@ def bfs_clustering(
     cluster: Dict[int, int] = {c: c for c in centers}
     parent: Dict[int, int] = {}
     non_s = [w for w in range(graph.n) if w not in s_set]
-    last_phase_s: List[int] = list(centers)
+    last_phase: List[int] = list(centers)
     phases = 0
     while s_set - set(cluster):
         phases += 1
@@ -132,21 +132,24 @@ def bfs_clustering(
             raise StructuralError(
                 "clustering did not terminate; is the graph connected?"
             )
-        # round 1: non-S neighbors of last phase's S joiners
-        last_set = set(last_phase_s)
+        # round 1: non-S neighbors of anything clustered last phase (a round-2
+        # joiner may be the only way on to an unclustered S-node)
+        last_set = set(last_phase)
         round1 = _join(graph, non_s, last_set, cluster, parent)
         # round 2: non-S neighbors of round-1 joiners
         round1_set = set(round1)
         round2 = _join(graph, non_s, round1_set, cluster, parent)
         # round 3: S-nodes adjacent to anything newly clustered (this phase's
-        # joiners or last phase's S joiners)
+        # joiners or last phase's)
         fresh = round1_set | set(round2) | last_set
         new_s = _join(graph, S, fresh, cluster, parent)
         if not (round1 or round2 or new_s):
+            stranded = sorted(s_set - set(cluster))
             raise StructuralError(
-                "clustering stalled with unclustered S-nodes; G is disconnected"
+                f"clustering stalled in phase {phases}: no node joined, and "
+                f"S-nodes {stranded} are unclustered"
             )
-        last_phase_s = new_s
+        last_phase = round1 + round2 + new_s
     # prune: drop non-S nodes without S-descendants, then unused branches
     keep: Set[int] = set(centers) | (s_set & set(cluster))
     # walk up from every S-node, keeping the whole path to its center

@@ -4,6 +4,12 @@ Each participating node owns a private coin, and its cluster fixes it in
 one decision: clusters of the same decomposition color have disjoint 2-hop
 neighborhoods, so they fix their members' coins in parallel, with the leader
 comparing aggregated quantized conditional expectations of the two branches.
+
+On sparse graphs the decomposition is one cluster, so each coin costs
+2*depth+2 rounds in turn: 10-12 rounds per node, nowhere near the paper's
+2^O(sqrt(log n * log log n)).  The paper gets that bound from a short shared
+seed per cluster, fixed bit by bit; with private coins the leader fixes them
+one by one.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ from .errors import DomainError
 class Graph:
     """Simple undirected graph on nodes 0..n-1 with sorted adjacency lists."""
 
-    __slots__ = ("n", "adj", "_closed", "_closed_masks", "lp_solution")
+    __slots__ = (
+        "n", "adj", "max_degree", "_closed", "_closed_masks", "lp_solution"
+    )
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
         if n < 0:
@@ -25,6 +27,7 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj: List[List[int]] = [sorted(s) for s in adj]
+        self.max_degree: int = max(map(len, adj), default=0)
         self._closed: List[Tuple[int, ...]] = [
             tuple(sorted((*a, v))) for v, a in enumerate(self.adj)
         ]
@@ -45,10 +48,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    @property
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
 
     @property
     def delta_tilde(self) -> int:

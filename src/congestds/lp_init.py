@@ -1,28 +1,23 @@
 """Initial fractional dominating sets via a centrally solved covering LP.
 
-The distributed LP approximation this stands in for is cited work; here the
-covering LP min sum(x) s.t. sum over inclusive neighborhoods >= 1 is solved
-centrally and its round cost charged.  The constraint matrix is sparse
-(one row per inclusive neighborhood, built from the adjacency lists).  HiGHS
-solves it by dual simplex below ``IPM_MIN_NODES`` nodes, handed the dense
-form there, and by interior point from there on, where simplex is much
-slower; the two may return different optimal vertices.  The float solution
-is repaired into an exactly feasible one on integers at the floats' common
-dyadic scale: scale up by the worst constraint slack, cap at 1, round up to
-whole units of 2**-iota(n), check every inclusive-neighborhood sum reaches
-one unit's worth of 1.  Every fractional dominating set here is a tuple of
-those integer units, one per node.
+The cited distributed LP approximation is replaced by one central solve of
+min sum(x) s.t. sum over every inclusive neighborhood >= 1, its rounds
+charged.  HiGHS is called directly on the adjacency lists, by dual simplex
+below ``IPM_MIN_NODES`` nodes and interior point from there on (the two may
+return different optimal vertices).  The floats are repaired into an exactly
+feasible solution in integer units of 2**-iota(n), one per node: scale up by
+the worst constraint slack, cap at 1, round up, check every neighborhood sum.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Tuple
 
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+# scipy's HiGHS binding, called directly: scipy's LP wrapper costs 4x a solve
+from scipy.optimize._highspy import _core as highs
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
@@ -45,10 +40,9 @@ def lp_fractional_opt(graph: Graph) -> Tuple[int, ...]:
     """An optimal fractional dominating set, repaired to exact feasibility,
     in units of 2**-iota(n).
 
-    The solver's float output is repaired upward, which can only grow the
-    objective by a vanishing amount at desk scale.  The repaired solution
-    depends only on the graph, so it is solved once per ``Graph`` object and
-    kept on it.
+    The repair of the solver's floats grows the objective by a vanishing
+    amount at desk scale.  The solution depends only on the graph, so it is
+    solved once per ``Graph`` object and kept on it.
     """
     n = graph.n
     if n == 0:
@@ -60,45 +54,51 @@ def lp_fractional_opt(graph: Graph) -> Tuple[int, ...]:
     return graph.lp_solution
 
 
+def _solve_covering_lp(graph: Graph) -> List[float]:
+    """HiGHS's optimal x for min sum(x) s.t. -A x <= -1 and 0 <= x <= 1, A
+    the inclusive-neighborhood matrix, set up as scipy's LP wrapper sets it."""
+    n = graph.n
+    lp = highs.HighsLp()
+    matrix = lp.a_matrix_
+    lp.num_col_ = lp.num_row_ = matrix.num_col_ = matrix.num_row_ = n
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = [1.0] * n, [0.0] * n, [1.0] * n
+    lp.row_lower_, lp.row_upper_ = [-highs.kHighsInf] * n, [-1.0] * n
+    # -A is symmetric: column v (column-wise is the default) is -1 on N[v]
+    index = [u for v in range(n) for u in graph.closed_neighbors(v)]
+    matrix.start_ = [0, *accumulate(graph.degree(v) + 1 for v in range(n))]
+    matrix.index_, matrix.value_ = index, [-1.0] * len(index)
+    options = highs.HighsOptions()
+    options.presolve, options.highs_debug_level = "on", 0
+    options.output_flag = options.log_to_console = False
+    options.simplex_strategy = 1  # kSimplexStrategyDual
+    options.solver = "ipm" if n >= IPM_MIN_NODES else "choose"
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        status = solver.modelStatusToString(solver.getModelStatus())
+        raise StructuralError(f"covering LP failed: {status}")
+    return solver.getSolution().col_value
+
+
 def _lp_solution(graph: Graph) -> Tuple[int, ...]:
     """Repaired, exactly feasible LP solution (depends only on the graph)."""
-    n = graph.n
-    # Row v of -A holds -1 at each node of N[v].
-    indptr = [0]
-    indices: List[int] = []
-    for v in range(n):
-        indices.extend(graph.closed_neighbors(v))
-        indptr.append(len(indices))
-    neg_a = csr_matrix(
-        (np.full(len(indices), -1.0), indices, indptr), shape=(n, n)
-    )
-    res = linprog(
-        c=np.ones(n),
-        # scipy's sparse-input handling costs more than a small LP's solve
-        A_ub=neg_a if n >= IPM_MIN_NODES else neg_a.toarray(),
-        b_ub=-np.ones(n),
-        bounds=(0.0, 1.0),
-        method="highs-ipm" if n >= IPM_MIN_NODES else "highs",
-    )
-    if not res.success:
-        raise StructuralError(f"covering LP failed: {res.message}")
+    closed = [graph.closed_neighbors(v) for v in range(graph.n)]
     # the clipped floats as integers at their common dyadic scale
-    ratios = [min(max(float(val), 0.0), 1.0).as_integer_ratio() for val in res.x]
+    floats = _solve_covering_lp(graph)
+    ratios = [min(max(val, 0.0), 1.0).as_integer_ratio() for val in floats]
     scale = max(den for _, den in ratios)
     units = [num * (scale // den) for num, den in ratios]
-    min_sum = min(
-        units[v] + sum(units[u] for u in graph.adj[v]) for v in range(n)
-    )
+    min_sum = min(sum(units[u] for u in nb) for nb in closed)
     if min_sum <= 0:
         raise StructuralError("LP produced an all-zero neighborhood")
     # divide by the worst neighborhood sum if it is below 1, cap at 1 and
     # round up to the grid of 2**-iota
     div = min(min_sum, scale)
-    one = 1 << iota_for(n)
+    one = 1 << iota_for(graph.n)
     x = tuple(one if u >= div else -((-u * one) // div) for u in units)
-    bad = [
-        v for v in range(n) if sum(x[u] for u in graph.closed_neighbors(v)) < one
-    ]
+    bad = [v for v, nb in enumerate(closed) if sum(x[u] for u in nb) < one]
     if bad:
         raise StructuralError(f"repaired LP solution infeasible at {bad}")
     return x

@@ -14,6 +14,10 @@ while each stage cost more than a whole degree-parameterized run.  The
 one-shot stage absorbs the remaining gap.  So the degree-parameterized
 scheme's charged coloring rounds are Theta(Delta * Delta_L), about
 0.45 * Delta^2 on dense graphs, not the paper's O(Delta * polylog Delta).
+Nor are the n-parameterized scheme's one-shot rounds the paper's
+2^O(sqrt(log n * log log n)): on sparse graphs the 2-hop decomposition is
+one cluster, whose leader fixes each private coin in turn at 2*depth + 2
+rounds, 10-12 rounds per node.
 
 Each stage reports two round counts.  ``sim_rounds`` are the rounds of the
 stages implemented here, counted by each stage's schedule formula, not by a

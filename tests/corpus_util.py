@@ -13,10 +13,12 @@ sequences, connected graphs from masks over the possible edges.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from functools import lru_cache
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -131,6 +133,25 @@ def random_connected(
         if g.is_connected():
             out.append(g)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _benchmark_inputs():
+    """The benchmark's graph builders, ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def relabelled_sparse(seed: str, n: int, avg_extra_degree: float) -> Graph:
+    """The benchmark's connected sparse random graph on n nodes, relabelled,
+    drawn from ``random.Random(seed)``."""
+    inputs = _benchmark_inputs()
+    rng = random.Random(seed)
+    edges = inputs.sparse_random(rng, n, avg_extra_degree)
+    return Graph(n, inputs.relabel(rng, n, edges))
 
 
 def unit_instance(

@@ -1,7 +1,9 @@
 import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
+from corpus_util import relabelled_sparse
 
 from congestds.cds import (
     bfs_clustering,
@@ -15,6 +17,7 @@ from congestds.errors import PreconditionError, StructuralError
 from congestds.generators import generate_graph, petersen
 from congestds.graph import MAX_NODES, Graph
 from congestds.oracles import brute_force_cds
+from congestds.pipeline import run_cds
 
 
 def path(n):
@@ -72,8 +75,17 @@ class TestBfsClustering:
 
     def test_disconnected_stalls(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"S-nodes \[2\] are unclustered"):
             bfs_clustering(g, [0, 2], [0])
+
+    def test_round_two_joiner_anchors_next_phase(self):
+        # S = {0, 4}: 1 joins in round 1, 2 in round 2, and only 2 leads on
+        # to 3 and so to the S-node 4
+        g = path(5)
+        cl = bfs_clustering(g, [0, 4], [0])
+        assert cl.membership == {0: 0, 4: 0}
+        assert cl.phases == 2
+        assert cl.tree_nodes(0) == [0, 1, 2, 3, 4]
 
 
 class TestConnectorPaths:
@@ -160,6 +172,20 @@ class TestBuildCds:
         a1, b1 = default_ruling_params(16)
         a2, b2 = default_ruling_params(1024)
         assert a1 <= a2 and b1 <= b2 and a1 <= b1 and a2 <= b2
+
+
+def test_run_cds_verified_on_stall_sample():
+    """Sparse 300-node graphs, among them stall:{3,5,8,18,39}, on which round
+    1 of a clustering phase used to anchor only on the last phase's
+    S-joiners, stranding S-nodes behind a round-2 joiner."""
+    unverified = []
+    for i in range(100):
+        g = relabelled_sparse(f"stall:{i}", 300, 2.0)
+        sbar, report = run_cds(g, Fraction(1, 2))
+        if not (report.valid and report.connected and g.subgraph_is_connected(sbar)
+                and undominated(g, sbar) == []):
+            unverified.append(i)
+    assert unverified == []
 
 
 def test_undominated_names_uncovered_nodes():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus_util import to_units, unit_instance
+from corpus_util import relabelled_sparse, to_units, unit_instance
 
 from congestds.bipartite import greedy_distance2_coloring
 from congestds.decomp import compute_decomposition, single_cluster_decomposition
@@ -11,6 +11,9 @@ from congestds.derand_color import derandomize_colorwise
 from congestds.cds import undominated
 from congestds.errors import PreconditionError
 from congestds.graph import Graph
+from congestds.lp_init import initial_fds
+from congestds.pipeline import PipelineParams, run_mds_n
+from congestds.rounding import one_shot_instance
 
 HALF = Fraction(1, 2)
 
@@ -73,6 +76,20 @@ class TestDerandomizeClusterwise:
         # clusters 0-5 and 12-17 share color 1, 6-11 and 18-19 color 2; the
         # 6-node clusters have depth 5
         assert out.simulated_rounds == 6 * 12 + 6 * 12 + 2
+
+    def test_sparse_graph_serializes_every_coin(self):
+        """On a sparse graph the decomposition is one cluster, so each coin
+        costs 2*depth+2 rounds in turn."""
+        g = relabelled_sparse("rounds:1600", 1600, 3.0)
+        nd = compute_decomposition(g, 2)
+        assert len(nd.clusters) == 1
+        depth = nd.clusters[0].tree.depth()
+        _, report = run_mds_n(g, HALF)
+        xprime = initial_fds(g, PipelineParams.from_graph(g, HALF).eps1)
+        coins = len(one_shot_instance(g, xprime).participating())
+        assert report.stages[1].name == "one-shot"
+        assert report.stages[1].sim_rounds == 2 + coins * (2 * depth + 2)
+        assert report.stages[1].sim_rounds > 8 * g.n
 
     def test_separation_precondition(self):
         g = Graph(2, [(0, 1)])

@@ -2,8 +2,9 @@
 definitions only tests use are listed, every library exception class is
 raised somewhere, no function keeps a functools cache, the derandomizers
 leave coin fixing to rounding, the expectation oracle builds no Fraction,
-no value is brought to a common denominator, and graph searches are left to
-``Graph.bfs_distances``."""
+no value is brought to a common denominator, graph searches are left to
+``Graph.bfs_distances``, and only ``lp_init`` imports scipy, the one
+dependency, calling HiGHS directly rather than through ``linprog``."""
 
 import ast
 from pathlib import Path
@@ -455,3 +456,39 @@ def test_detects_adjacency_while_loop():
         "        nodes.pop()\n"
     )
     assert adjacency_while_loops(src) == ["grow"]
+
+
+def imported_packages(source: str):
+    """Top-level package of every absolute import."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.extend(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return {name.split(".")[0] for name in names}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_only_lp_init_imports_scipy(path):
+    """The covering LP is the library's one use of scipy, and numpy is not a
+    dependency."""
+    allowed = {"scipy"} if path.name == "lp_init.py" else set()
+    packages = imported_packages(path.read_text(encoding="utf-8"))
+    assert packages & {"numpy", "scipy"} <= allowed
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_linprog(path):
+    assert "linprog" not in path.read_text(encoding="utf-8")
+
+
+def test_detects_scipy_import():
+    src = (
+        "import numpy as np\n"
+        "import scipy.sparse\n"
+        "from scipy.optimize import linprog\n"
+        "from .graph import Graph\n"
+        "from os import path\n"
+    )
+    assert imported_packages(src) == {"numpy", "scipy", "os"}

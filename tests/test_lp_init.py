@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from corpus_util import relabelled_sparse
 from scipy import sparse
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 import congestds.lp_init as lp_init
 from congestds.errors import StructuralError
@@ -114,46 +116,68 @@ class TestInitialFds:
 
 
 class TestSolverSplit:
-    """Dual simplex on a dense matrix below IPM_MIN_NODES nodes, interior
-    point on a sparse one from there on.  ``_lp_solution`` is the uncached
+    """Dual simplex below IPM_MIN_NODES nodes, interior point from there on,
+    each on a fresh HiGHS instance.  ``_lp_solution`` is the uncached
     solve."""
 
     def test_method_by_size(self, monkeypatch):
-        calls = []
-        real = lp_init.linprog
+        solvers = []
 
-        def recording(*args, **kwargs):
-            calls.append((kwargs["method"], kwargs["A_ub"]))
-            return real(*args, **kwargs)
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(highs, name)
 
-        monkeypatch.setattr(lp_init, "linprog", recording)
-        for n in (10, IPM_MIN_NODES):
+            def _Highs(self):
+                solvers.append(highs._Highs())
+                return solvers[-1]
+
+        monkeypatch.setattr(lp_init, "highs", Recording())
+        for n in (10, IPM_MIN_NODES - 1, IPM_MIN_NODES):
             g = generate_graph("path", {"n": n})
             x = lp_init._lp_solution(g)
             assert infeasible(g, x) == []
-        assert [method for method, _ in calls] == ["highs", "highs-ipm"]
-        assert [sparse.issparse(a) for _, a in calls] == [False, True]
+        options = [s.getOptions() for s in solvers]
+        assert [o.solver for o in options] == ["choose", "choose", "ipm"]
+        assert all(o.presolve == "on" and o.simplex_strategy == 1 for o in options)
+        assert not any(o.output_flag or o.log_to_console for o in options)
 
-    def test_simplex_side_equals_dense_solve(self, monkeypatch):
-        """Below the constant, the dense-matrix solve repairs to exactly the
-        solution of a sparse-matrix ``highs`` solve with per-variable bounds."""
-        real = lp_init.linprog
+    @pytest.mark.parametrize("side", ["simplex", "ipm"])
+    def test_direct_solve_equals_linprog(self, side):
+        """The direct HiGHS solve returns exactly the floats of public
+        ``scipy.optimize.linprog`` called as the library called it before:
+        dense ``highs`` below IPM_MIN_NODES nodes, sparse ``highs-ipm`` from
+        there on."""
+        lo, hi = (6, IPM_MIN_NODES - 1) if side == "simplex" else (
+            IPM_MIN_NODES, IPM_MIN_NODES + 50
+        )
+        graphs = _random_graphs(random.Random(f"direct:{side}"), 100, lo, hi)
+        if side == "ipm":
+            graphs.append(relabelled_sparse("direct:1600", 1600, 3.0))
+        for g in graphs:
+            got = lp_init._solve_covering_lp(g)
+            assert [float(v) for v in _linprog_x(g)] == list(got)
 
-        def sparse_highs(c, A_ub, b_ub, bounds, method):
-            n = len(c)
-            return real(
-                c=c,
-                A_ub=sparse.csr_matrix(A_ub),
-                b_ub=b_ub,
-                bounds=[(0.0, 1.0)] * n,
-                method="highs",
-            )
 
-        graphs = _random_graphs(random.Random(8), 20, 10, IPM_MIN_NODES - 1)
-        solve = lp_init._lp_solution
-        dense_x = [solve(g) for g in graphs]
-        monkeypatch.setattr(lp_init, "linprog", sparse_highs)
-        assert dense_x == [solve(g) for g in graphs]
+def _linprog_x(graph):
+    """x of ``scipy.optimize.linprog`` on the covering LP, dense ``highs``
+    below IPM_MIN_NODES nodes and sparse ``highs-ipm`` from there on."""
+    n = graph.n
+    indptr, indices = [0], []
+    for v in range(n):
+        indices.extend(graph.closed_neighbors(v))
+        indptr.append(len(indices))
+    neg_a = sparse.csr_matrix(
+        (np.full(len(indices), -1.0), indices, indptr), shape=(n, n)
+    )
+    res = linprog(
+        c=np.ones(n),
+        A_ub=neg_a if n >= IPM_MIN_NODES else neg_a.toarray(),
+        b_ub=-np.ones(n),
+        bounds=(0.0, 1.0),
+        method="highs-ipm" if n >= IPM_MIN_NODES else "highs",
+    )
+    assert res.success
+    return res.x
 
 
 def _random_graphs(rng, count, lo, hi):
@@ -193,14 +217,13 @@ def test_integer_repair_equals_fraction_repair(monkeypatch, side):
     """On 100 graphs on each side of IPM_MIN_NODES, the integer repair of the
     solver's floats gives exactly the values of the Fraction repair."""
     seen = []
-    real = lp_init.linprog
+    real = lp_init._solve_covering_lp
 
-    def recording(*args, **kwargs):
-        res = real(*args, **kwargs)
-        seen.append(res.x.copy())
-        return res
+    def recording(graph):
+        seen.append(real(graph))
+        return seen[-1]
 
-    monkeypatch.setattr(lp_init, "linprog", recording)
+    monkeypatch.setattr(lp_init, "_solve_covering_lp", recording)
     lo, hi = (6, IPM_MIN_NODES - 1) if side == "simplex" else (
         IPM_MIN_NODES, IPM_MIN_NODES + 50
     )
@@ -220,10 +243,7 @@ def test_integer_repair_on_arbitrary_floats(monkeypatch):
     [0, 1] that the repair clips."""
     rng = random.Random("repair:floats")
     vector = []
-    monkeypatch.setattr(
-        lp_init, "linprog",
-        lambda **kwargs: SimpleNamespace(success=True, x=np.array(vector)),
-    )
+    monkeypatch.setattr(lp_init, "_solve_covering_lp", lambda graph: list(vector))
     sides = set()
     for g in _random_graphs(rng, 100, 3, 40):
         vector[:] = [

@@ -209,13 +209,13 @@ def test_one_lp_solve_per_graph_object(monkeypatch):
     object: a second pipeline on the same object solves nothing, and an equal
     but distinct graph solves again."""
     calls = []
-    real = lp_init.linprog
+    real = lp_init._solve_covering_lp
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return real(*args, **kwargs)
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
 
-    monkeypatch.setattr(lp_init, "linprog", counting)
+    monkeypatch.setattr(lp_init, "_solve_covering_lp", counting)
     g = generate_graph("cycle", {"n": 30})
     _, report = run_mds_n(g, Fraction(1, 2))
     assert report.extras["opt_kind"] == "lp-estimate"
