@@ -179,7 +179,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InvariantViolation, StructuralError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (CongestDSError, FileNotFoundError) as exc:
+    except (CongestDSError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

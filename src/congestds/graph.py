@@ -176,7 +176,11 @@ def parse_graph(text: str) -> Graph:
 
 def load_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_graph(text)
 
 
 def format_graph(graph: Graph) -> str:

@@ -7,21 +7,75 @@ below ``IPM_MIN_NODES`` nodes and interior point from there on (the two may
 return different optimal vertices).  The floats are repaired into an exactly
 feasible solution in integer units of 2**-iota(n), one per node: scale up by
 the worst constraint slack, cap at 1, round up, check every neighborhood sum.
+
+HiGHS is scipy's bundled binding, loaded from its file in scipy's install
+tree under its own module name, so that none of scipy's package imports run
+(they cost four times the rest of ``import congestds``); a later
+``import scipy.optimize`` reuses the loaded module.  Where the file cannot
+be loaded on its own, the binding comes from the ordinary import.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
+from types import ModuleType
 from typing import List, Tuple
 
-# scipy's HiGHS binding, called directly: scipy's LP wrapper costs 4x a solve
-from scipy.optimize._highspy import _core as highs
+# the binding holds col_cost_ as a numpy array, and would otherwise import
+# numpy on the first solve
+import numpy as np
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
 from .values import ONE, iota_for
+
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_extension(name: str) -> ModuleType:
+    """The extension module *name*, a submodule of scipy, loaded from its
+    file without importing the packages above it."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    stem = Path(scipy.submodule_search_locations[0], *name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no extension file for {name} at {stem}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+def _load_highs() -> ModuleType:
+    """scipy's HiGHS binding, called directly (scipy's LP wrapper costs 4x a
+    solve) and loaded without scipy's package imports where it can be."""
+    if HIGHS_MODULE in sys.modules:
+        return sys.modules[HIGHS_MODULE]
+    try:
+        return _load_extension(HIGHS_MODULE)
+    except ImportError:
+        # e.g. where scipy's __init__ must first add DLL directories
+        from scipy.optimize._highspy import _core
+        return _core
+
+
+highs = _load_highs()
 
 #: Graphs with at least this many nodes solve the LP by interior point;
 #: smaller ones by dual simplex, which is faster there (crossover measured on
@@ -61,7 +115,9 @@ def _solve_covering_lp(graph: Graph) -> List[float]:
     lp = highs.HighsLp()
     matrix = lp.a_matrix_
     lp.num_col_ = lp.num_row_ = matrix.num_col_ = matrix.num_row_ = n
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = [1.0] * n, [0.0] * n, [1.0] * n
+    # col_cost_ is a numpy array; the other vectors are copied element by
+    # element, which is fastest from lists
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.ones(n), [0.0] * n, [1.0] * n
     lp.row_lower_, lp.row_upper_ = [-highs.kHighsInf] * n, [-1.0] * n
     # -A is symmetric: column v (column-wise is the default) is -1 on N[v]
     index = [u for v in range(n) for u in graph.closed_neighbors(v)]

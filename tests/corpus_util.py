@@ -154,6 +154,16 @@ def relabelled_sparse(seed: str, n: int, avg_extra_degree: float) -> Graph:
     return Graph(n, inputs.relabel(rng, n, edges))
 
 
+def relabelled_tree(seed: str) -> Graph:
+    """A random recursive tree of 5-60 nodes (node v's parent drawn from
+    0..v-1), relabelled as the benchmark relabels, drawn from
+    ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 60)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    return Graph(n, _benchmark_inputs().relabel(rng, n, edges))
+
+
 def unit_instance(
     graph: Graph, x: Dict[int, Fraction], c: Optional[Dict[int, Fraction]] = None
 ) -> RoundingInstance:

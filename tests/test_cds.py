@@ -3,7 +3,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from corpus_util import relabelled_sparse
+from corpus_util import relabelled_sparse, relabelled_tree
 
 from congestds.cds import (
     bfs_clustering,
@@ -186,6 +186,16 @@ def test_run_cds_verified_on_stall_sample():
                 and undominated(g, sbar) == []):
             unverified.append(i)
     assert unverified == []
+
+
+@pytest.mark.parametrize("i", [8, 12, 32, 53, 55])
+def test_run_cds_verified_on_stalling_trees(i):
+    """Trees on which clustering used to stall the same way as on the stall
+    sample above."""
+    g = relabelled_tree(f"tree:{i}")
+    sbar, report = run_cds(g, Fraction(1, 2))
+    assert report.valid and report.connected
+    assert g.subgraph_is_connected(sbar) and undominated(g, sbar) == []
 
 
 def test_undominated_names_uncovered_nodes():

@@ -41,6 +41,20 @@ class TestPipelineCommands:
         code = main(["mds-n", "--input", str(tmp_path / "nope.txt")])
         assert code == 3
 
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        assert main(["mds-n", "--input", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("n 2\n0 1 # caf\xe9\n".encode("latin-1"))
+        assert main(["mds-n", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert "Traceback" not in err
+
     def test_bad_epsilon(self, petersen_file, capsys):
         code = main(["mds-n", "--input", petersen_file, "--epsilon", "3"])
         assert code == 3

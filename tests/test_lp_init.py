@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +265,73 @@ def test_integer_repair_on_arbitrary_floats(monkeypatch):
         assert lp_init._lp_solution(g) == want
         sides.add(was_scaled)
     assert sides == {False, True}
+
+
+#: what a fresh process runs to report how the HiGHS binding was loaded, and
+#: the covering-LP floats on a simplex-side and an interior-point-side graph
+REPORT = """
+import json, sys
+import congestds.lp_init as lp_init
+from congestds.generators import petersen
+from corpus_util import relabelled_sparse
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert scipy.optimize.linprog(c=[1.0], bounds=(2.0, 3.0)).x[0] == 2.0
+json.dump({
+    "same_module": lp_init.highs is sys.modules[lp_init.HIGHS_MODULE] is _core,
+    "floats": [
+        list(lp_init._solve_covering_lp(g))
+        for g in (petersen(), relabelled_sparse("loader", 200, 3.0))
+    ],
+}, sys.stdout)
+"""
+
+
+def _fresh(code):
+    """stdout of *code* run by a fresh interpreter that imports this
+    checkout's ``congestds`` and the test helpers."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestHighsLoader:
+    """``lp_init`` loads scipy's HiGHS binding from its file, without scipy's
+    package imports, and shares it with a later ``import scipy.optimize``."""
+
+    def test_import_runs_no_scipy_package(self):
+        loaded = json.loads(_fresh(
+            "import json, sys\n"
+            "import congestds\n"
+            "json.dump(sorted(sys.modules), sys.stdout)\n"
+        ))
+        for package in ("scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
+            assert package not in loaded
+        assert lp_init.HIGHS_MODULE in loaded
+        # numpy comes with the import, not with the first solve
+        assert "numpy" in loaded
+
+    def test_scipy_before_or_after_shares_the_binding(self):
+        after = json.loads(_fresh(REPORT))
+        before = json.loads(_fresh("import scipy.optimize\n" + REPORT))
+        assert after["same_module"] and before["same_module"]
+        assert after["floats"] == before["floats"]
+
+    def test_falls_back_to_the_ordinary_import(self):
+        """With no extension file found, the binding comes from scipy's
+        package import and solves the same."""
+        forced = _fresh(
+            "import importlib.machinery, sys\n"
+            "importlib.machinery.EXTENSION_SUFFIXES.clear()\n"
+            "import congestds\n"
+            "assert 'scipy.optimize' in sys.modules\n" + REPORT
+        )
+        forced = json.loads(forced)
+        assert forced["same_module"]
+        assert forced["floats"] == json.loads(_fresh(REPORT))["floats"]
