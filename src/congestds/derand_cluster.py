@@ -1,15 +1,17 @@
 """Cluster-ordered derandomization over a 2-hop network decomposition.
 
-Each participating node owns a private coin, and its cluster fixes it in
-one decision: clusters of the same decomposition color have disjoint 2-hop
-neighborhoods, so they fix their members' coins in parallel, with the leader
-comparing aggregated quantized conditional expectations of the two branches.
+Each participating node owns a private coin, fixed in one decision to its
+cheaper branch.  Decomposition colors run one after another.  Within a
+color, the coins are split into greedy distance-2 classes of G and decided
+class by class: coins at distance >= 3 have disjoint closed neighborhoods,
+so their branch sums do not interact, and each node computes its own two
+quantized sums from its 2-hop state in 3 rounds per class.  Same-colored
+clusters are more than 2 hops apart, so their classes run in parallel.
 
-On sparse graphs the decomposition is one cluster, so each coin costs
-2*depth+2 rounds in turn: 10-12 rounds per node, nowhere near the paper's
-2^O(sqrt(log n * log log n)).  The paper gets that bound from a short shared
-seed per cluster, fixed bit by bit; with private coins the leader fixes them
-one by one.
+The paper instead fixes a short shared seed per cluster bit by bit, for
+2^O(sqrt(log n * log log n)) rounds; with private coins the cost is the
+number of classes, which needs an in-cluster distance-2 coloring that the
+shared seed avoids.  That coloring's cost is charged, not simulated.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Sequence, Tuple
 
+from .bipartite import coloring_round_cost, greedy_distance2_coloring
 from .decomp import (
-    Cluster,
     NetworkDecomposition,
     compute_decomposition,
     decomposition_charge,
@@ -34,15 +36,18 @@ from .rounding import RoundingInstance, _check_stage, derandomize, one_shot_inst
 class CoinFixRecord:
     """One coin decision: compare branch sums, keep coin 1 iff s1 < s0.
 
-    ``group`` is ``("coin", v)`` for the coin of node v, and ``skipped`` is
-    always False; both stay only because the benchmark's trace reads them.
+    ``cluster`` is the leader of the coin's cluster and ``color`` that
+    cluster's decomposition color; ``s0`` and ``s1`` are the quantized
+    branch sums in units of n^-10.  ``group`` is ``("coin", v)`` for the
+    coin of node v, and ``skipped`` is always False; both stay only because
+    the benchmark's trace reads them.
     """
 
     cluster: int
     color: int
     group: Hashable
-    s0: Fraction
-    s1: Fraction
+    s0: int
+    s1: int
     value: int
     skipped: bool = False
 
@@ -64,53 +69,55 @@ def derandomize_clusterwise(
 ) -> ClusterOutcome:
     """Fix every participating coin color by color, then run both phases.
 
-    :func:`derandomize` fixes the coins color by color, and within a color
-    cluster by cluster (by leader), members ascending.  Same-colored
-    clusters have disjoint 2-hop neighborhoods, so their order is immaterial
-    and they fix their coins in parallel.  Each aggregated coin costs
-    2*depth+2 rounds; coins of parallel clusters overlap.
+    Per decomposition color, ascending, the color's participating coins are
+    split into greedy distance-2 classes of G, and :func:`derandomize`
+    fixes them class by class, members ascending.  Same-colored clusters
+    are more than 2 hops apart, so the classes of their union are exactly
+    the per-cluster classes, run in parallel.  Each class costs 3 rounds:
+    exchange the fixed coins, send the two quantized terms over N[v],
+    announce the decision; 2 more rounds exchange the final values.
     ``simulated_rounds`` is counted by this schedule's formula, not by a
-    simulation; ``charged_rounds`` is the cited decomposition's
-    :func:`decomposition_charge`.
+    simulation.  ``charged_rounds`` is the cited decomposition's
+    :func:`decomposition_charge` plus the cited distance-2 coloring's
+    :func:`coloring_round_cost` at Delta on both sides.
     """
     if decomp.k < 2:
         raise PreconditionError(
             f"decomposition must be at least 2-hop separated, got k={decomp.k}"
         )
-    validate_decomposition(inst.graph, decomp)
-    participating = set(inst.participating())
-    # per color, each cluster with its participating members, ascending
-    by_color: Dict[int, List[Tuple[Cluster, List[int]]]] = {}
-    for cl in decomp.clusters:
-        members = [v for v in cl.members if v in participating]
-        if members:
-            by_color.setdefault(decomp.color[cl.leader], []).append((cl, members))
+    graph = inst.graph
+    validate_decomposition(graph, decomp)
+    leader_of = {v: cl.leader for cl in decomp.clusters for v in cl.members}
+    by_color: Dict[int, List[int]] = {}
+    for v in inst.participating():
+        by_color.setdefault(decomp.color[leader_of[v]], []).append(v)
     order: List[int] = []
-    owners: List[Tuple[int, int]] = []  # (cluster leader, color) per coin
-    simulated = 0
+    simulated = 2  # final phase-1 / phase-2 value exchange
     for color in sorted(by_color):
-        clusters_here = sorted(by_color[color], key=lambda cm: cm[0].leader)
-        for cl, members in clusters_here:
+        classes = greedy_distance2_coloring(graph, by_color[color]).classes()
+        for members in classes:
             order.extend(members)
-            owners.extend((cl.leader, color) for _ in members)
-        simulated += max(
-            len(members) * (2 * cl.tree.depth() + 2)
-            for cl, members in clusters_here
-        )
-    simulated += 2  # final phase-1 / phase-2 value exchange
+        simulated += 3 * len(classes)
     result, decisions, initial = derandomize(inst, order)
     fixes = [
         CoinFixRecord(
-            cluster=leader, color=color, group=("coin", v), s0=s0, s1=s1, value=coin
+            cluster=leader_of[v],
+            color=decomp.color[leader_of[v]],
+            group=("coin", v),
+            s0=s0,
+            s1=s1,
+            value=coin,
         )
-        for (leader, color), (v, s0, s1, coin) in zip(owners, decisions)
+        for v, s0, s1, coin in decisions
     ]
+    delta = graph.max_degree
     return ClusterOutcome(
         result=result,
         fixes=fixes,
         simulated_rounds=simulated,
         initial_expectation=initial,
-        charged_rounds=decomposition_charge(inst.graph.n, decomp.k),
+        charged_rounds=decomposition_charge(graph.n, decomp.k)
+        + coloring_round_cost(delta, delta, graph.n),
     )
 
 
@@ -127,7 +134,7 @@ def n_one_shot(
 
     Fully independent coins meet the F-wise independence that the
     uncover-probability bound needs; the scaled instance is derandomized
-    cluster by cluster over a 2-hop decomposition.
+    color by color over a 2-hop decomposition, by distance-2 classes.
     """
     _check_stage(graph, xprime, F)
     inst = one_shot_instance(graph, xprime)

@@ -28,12 +28,13 @@ from .values import iota_for, ln_upper
 
 @dataclass
 class DecisionRecord:
-    """One node's branch comparison: keep the scaled value iff a1 < a0."""
+    """One node's branch comparison: keep the scaled value iff a1 < a0, the
+    quantized branch sums in units of n^-10."""
 
     node: int
     color: int
-    a0: Fraction
-    a1: Fraction
+    a0: int
+    a1: int
     coin: int
 
 

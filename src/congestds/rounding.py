@@ -235,7 +235,7 @@ def rounded_output(inst: RoundingInstance, coins: Dict[int, int]) -> List[int]:
 
 def derandomize(
     inst: RoundingInstance, order: Sequence[int]
-) -> Tuple[List[int], List[Tuple[int, Fraction, Fraction, int]], Fraction]:
+) -> Tuple[List[int], List[Tuple[int, int, int, int]], Fraction]:
     """Fix every coin in *order* by conditional expectations, then round.
 
     Coins are private and independent, so E = q*E1 + (1-q)*E0 over the
@@ -254,7 +254,8 @@ def derandomize(
     initial expectation plus 1/n^7, and for validity on the host graph.
 
     Returns the chosen nodes ascending, the ``(node, s0, s1, coin)``
-    decisions in order, and the exact initial expectation.
+    decisions in order, with s0 and s1 the integer branch sums in units of
+    n^-10, and the exact initial expectation.
     """
     n = max(inst.graph.n, 2)
     scale = n**10
@@ -262,7 +263,7 @@ def derandomize(
     coins: Dict[int, int] = {}
     state = CoinState(inst, coins)
     initial = state.expected_size()
-    decisions: List[Tuple[int, Fraction, Fraction, int]] = []
+    decisions: List[Tuple[int, int, int, int]] = []
     for v in order:
         if v in coins or not 0 < x.get(v, 0) < one:
             raise DomainError(f"node {v} has no undecided coin to fix")
@@ -271,7 +272,7 @@ def derandomize(
         coin = 1 if s1 < s0 else 0
         state.fix(v, coin)
         coins[v] = coin
-        decisions.append((v, Fraction(s0, scale), Fraction(s1, scale), coin))
+        decisions.append((v, s0, s1, coin))
     chosen = rounded_output(inst, coins)
     # every output value is 0 or 1 and every c <= one, so c(v) is met
     # exactly when c(v) = 0 or N[v] holds a chosen node

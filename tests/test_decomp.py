@@ -65,8 +65,8 @@ def sparse_graphs(seed, count):
 
 class TestClusterTree:
     def test_depth(self):
-        # a cluster tree's depth sets the 2*depth+2 formula-counted
-        # sim_rounds per coin of the cluster-ordered derandomizer
+        # a cluster tree's depth is the promise validate_decomposition
+        # checks against d
         tree = ClusterTree(root=0, parent={1: 0, 2: 1, 3: 1})
         assert tree.depth() == 2
         assert tree.members == [0, 1, 2, 3]

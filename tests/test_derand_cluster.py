@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from corpus_util import relabelled_sparse, to_units, unit_instance
 
-from congestds.bipartite import greedy_distance2_coloring
-from congestds.decomp import compute_decomposition, single_cluster_decomposition
+from congestds.bipartite import coloring_round_cost, greedy_distance2_coloring
+from congestds.decomp import (
+    compute_decomposition,
+    decomposition_charge,
+    single_cluster_decomposition,
+)
 from congestds.derand_cluster import derandomize_clusterwise, n_one_shot
 from congestds.derand_color import derandomize_colorwise
 from congestds.cds import undominated
@@ -13,7 +18,7 @@ from congestds.errors import PreconditionError
 from congestds.graph import Graph
 from congestds.lp_init import initial_fds
 from congestds.pipeline import PipelineParams, run_mds_n
-from congestds.rounding import one_shot_instance
+from congestds.rounding import CoinState, branch_sum, one_shot_instance
 
 HALF = Fraction(1, 2)
 
@@ -60,36 +65,36 @@ class TestDerandomizeClusterwise:
             assert not f.skipped
             assert f.value == (1 if f.s1 < f.s0 else 0)
 
-    def test_simulated_rounds_per_coin(self):
-        # each color costs its busiest cluster 2*depth+2 rounds per member
-        # coin, plus 2 for the final value exchange
+    def test_simulated_rounds_per_class(self):
+        # 3 rounds per distance-2 class of each color's coins, plus 2 for
+        # the final value exchange
         g = Graph(20, [(i, i + 1) for i in range(19)])
         inst = fractional_instance(g, {v: Fraction(3, 8) for v in range(20)})
         nd = compute_decomposition(g, 2)
         out = derandomize_clusterwise(inst, nd)
-        per_color = {}
-        for cl in nd.clusters:
-            cost = len(cl.members) * (2 * cl.tree.depth() + 2)
-            color = nd.color[cl.leader]
-            per_color[color] = max(per_color.get(color, 0), cost)
-        assert out.simulated_rounds == sum(per_color.values()) + 2
-        # clusters 0-5 and 12-17 share color 1, 6-11 and 18-19 color 2; the
-        # 6-node clusters have depth 5
-        assert out.simulated_rounds == 6 * 12 + 6 * 12 + 2
+        assert out.simulated_rounds == class_rounds(inst, nd)
+        # clusters 0-5 and 12-17 share color 1, 6-11 and 18-19 color 2; a
+        # path's coins fall into 3 distance-2 classes, i mod 3, so each color
+        # costs 3 classes whatever its clusters' depth
+        assert out.simulated_rounds == 2 + 3 * 3 + 3 * 3
 
-    def test_sparse_graph_serializes_every_coin(self):
-        """On a sparse graph the decomposition is one cluster, so each coin
-        costs 2*depth+2 rounds in turn."""
+    def test_sparse_graph_rounds_per_class(self):
+        """On a sparse graph the decomposition is one cluster of one color,
+        so the rounds are 3 per distance-2 class of all its coins."""
         g = relabelled_sparse("rounds:1600", 1600, 3.0)
         nd = compute_decomposition(g, 2)
         assert len(nd.clusters) == 1
-        depth = nd.clusters[0].tree.depth()
         _, report = run_mds_n(g, HALF)
         xprime = initial_fds(g, PipelineParams.from_graph(g, HALF).eps1)
-        coins = len(one_shot_instance(g, xprime).participating())
+        inst = one_shot_instance(g, xprime)
+        classes = greedy_distance2_coloring(g, inst.participating()).num_colors
         assert report.stages[1].name == "one-shot"
-        assert report.stages[1].sim_rounds == 2 + coins * (2 * depth + 2)
-        assert report.stages[1].sim_rounds > 8 * g.n
+        assert report.stages[1].sim_rounds == class_rounds(inst, nd)
+        assert report.stages[1].sim_rounds == 2 + 3 * classes
+        # the coloring the class order needs is charged, at Delta both sides
+        assert report.stages[1].charged_rounds == decomposition_charge(
+            g.n, 2
+        ) + coloring_round_cost(g.max_degree, g.max_degree, g.n)
 
     def test_separation_precondition(self):
         g = Graph(2, [(0, 1)])
@@ -98,6 +103,95 @@ class TestDerandomizeClusterwise:
         nd.k = 1
         with pytest.raises(PreconditionError):
             derandomize_clusterwise(inst, nd)
+
+
+def coins_by_color(inst, decomp):
+    """Each node's cluster leader, and each decomposition color's
+    participating coins, ascending."""
+    leader_of = {v: cl.leader for cl in decomp.clusters for v in cl.members}
+    by_color = {}
+    for v in inst.participating():
+        by_color.setdefault(decomp.color[leader_of[v]], []).append(v)
+    return leader_of, by_color
+
+
+def class_rounds(inst, decomp):
+    """2 + 3 per greedy distance-2 class of each decomposition color's
+    participating coins."""
+    _, by_color = coins_by_color(inst, decomp)
+    return 2 + sum(
+        3 * greedy_distance2_coloring(inst.graph, coins).num_colors
+        for coins in by_color.values()
+    )
+
+
+def sparse_connected(rng, n, extra):
+    """A random recursive tree on n nodes plus *extra* random edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(extra):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+class TestParallelReplay:
+    """Within a decomposition color, the coins of one distance-2 class are
+    pairwise at distance >= 3 in G, so deciding every coin of the class from
+    the state before it gives the coins and branch sums that the sequential
+    run logs."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random("parallel-replay")
+        for _ in range(60):
+            n = rng.randint(4, 90)
+            g = sparse_connected(rng, n, rng.randint(0, n // 2))
+            xprime = to_units([
+                Fraction(rng.choice([0, 1, 1, 2, 3, 5, 8, 16]), 16)
+                for _ in range(n)
+            ])
+            inst = one_shot_instance(g, xprime)
+            for decomp in (
+                compute_decomposition(g, 2),
+                compute_decomposition(g, 3),
+                single_cluster_decomposition(g),
+            ):
+                yield inst, decomp
+
+    def test_classes_decide_in_parallel(self):
+        shared_classes = 0
+        for inst, decomp in self.cases():
+            g = inst.graph
+            out = derandomize_clusterwise(inst, decomp)
+            leader_of, by_color = coins_by_color(inst, decomp)
+            fixes = {f.group[1]: f for f in out.fixes}
+            assert all(f.cluster == leader_of[v] for v, f in fixes.items())
+            state = CoinState(inst, {})
+            scale = max(g.n, 2) ** 10
+            order = []
+            for color in sorted(by_color):
+                classes = greedy_distance2_coloring(g, by_color[color]).classes()
+                for members in classes:
+                    for v in members:
+                        near = g.bfs_distances([v], limit=2)
+                        assert set(near).intersection(members) == {v}
+                    # every branch sum of the class read before any fix
+                    decided = {}
+                    for v in members:
+                        s0 = branch_sum(state, v, 0, scale)
+                        s1 = branch_sum(state, v, 1, scale)
+                        decided[v] = (color, s0, s1, 1 if s1 < s0 else 0)
+                    for v, record in decided.items():
+                        f = fixes[v]
+                        assert (f.color, f.s0, f.s1, f.value) == record
+                        state.fix(v, record[3])
+                    if len({leader_of[v] for v in members}) > 1:
+                        shared_classes += 1
+                    order.extend(members)
+            assert [f.group[1] for f in out.fixes] == order
+            assert out.simulated_rounds == class_rounds(inst, decomp)
+        # same-colored clusters did share classes, in parallel
+        assert shared_classes > 0
 
 
 class TestWrappers:

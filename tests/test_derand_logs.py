@@ -62,16 +62,16 @@ def fix_rows(fixes):
 
 
 COLORWISE = {
-    "petersen-one-shot": "e0d6ab5cdd2d422eaed557695a115a7cbe4d9dd7454472403b657cb7d3b96878",
-    "grid4x4-one-shot": "1e01c05954029e89c5b9bf18038225c86e65677b5eb024e6d1c000a73eda289c",
+    "petersen-one-shot": "fd3dceeeeb44f492f040cd08605291561626d139caf4f755e123d85da9bd3834",
+    "grid4x4-one-shot": "33580dc9ef849eef96c26edc5fa621259c2f7554c7e93bc921cb7fb4dc714a1e",
 }
 
 CLUSTERWISE = {
-    "petersen-one-shot": "3f8657030884fd220c90a547127fc6b0b099e4165c08eda1588fabfa970b6bc7",
-    "grid4x4-one-shot": "abfa5960688015cc066e12cf0374aa2980b1359622ddcd58432c874ccce409bf",
+    "petersen-one-shot": "4a00e982035304b42caeaced9a13a711badcbc44a01d027d9c43921492b647bc",
+    "grid4x4-one-shot": "72aa177f01baa4fab101049c2f58548e9caffff3f34fdac24f39aa2cc43194c7",
 }
 
-DELTA_ONE_SHOT = "c52719cc751213d6002f657ce19b474d78a3f80e117d021e6bf8ca0a039d50ab"
+DELTA_ONE_SHOT = "e7bb431b2aae09e2557bd32fc95ca67c7d5716f7df4740ea270fb3499b0cae2f"
 
 
 CASES = dict(instances())

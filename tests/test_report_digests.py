@@ -55,36 +55,36 @@ def run_all(graph):
 
 
 DIGESTS = [
-    "f097d435c8571aa3",
-    "32dbc696c01e99bf",
-    "fcf9e3199114aa00",
-    "39edc0d481633f09",
-    "60051ffa7f52a4ed",
-    "7ee3289b785bdcc1",
-    "fb09260a3ea6a583",
-    "c0b6896e0363c7ee",
-    "5947815dcc6bb988",
-    "d5c300e93920272d",
-    "abeca606413d9936",
-    "17bb71cd26970b62",
-    "9ef63d455a0722f0",
-    "c2b56df95a8f3706",
-    "887fad320ea61c03",
-    "14a18a90660bf26d",
-    "8cb9784a572e59f5",
-    "eeb105ea115bb76f",
-    "07dd0ef7801bfff6",
-    "997d3199e6d1d14e",
-    "ae8545fdaf3e4845",
-    "c86b701869fe754e",
-    "75a5bf3441b30076",
-    "3f0af652a7a98eeb",
-    "3d00ec4a185e1e1b",
-    "b014d824f9681647",
-    "e6c6af135c9c8284",
-    "d90b865c7873bd3e",
-    "e543c6af0e4e0532",
-    "da3101d3083acfde",
+    "055e924245097219",
+    "d9d1ac92599eb538",
+    "876a514892a1b317",
+    "16d3cf8b053cd507",
+    "7a73ae7345997d66",
+    "fd7a6d70fb6a34fb",
+    "7795883efdacc42c",
+    "dd554c065fd54327",
+    "30938297cafd1b97",
+    "47a7b7ac1a07fea0",
+    "8dd0184606342e9f",
+    "fac4c9c9f84ccd14",
+    "e6ac9a3a0fd2d0b4",
+    "8ee8eb305e9f65c0",
+    "3c0f09c00b520268",
+    "0114c910e1f21633",
+    "1f8fbd271fab085a",
+    "9de6fca6a8f24084",
+    "05618cd8ae03996d",
+    "c6a86027f60addd5",
+    "06423a5a0adfe8b1",
+    "dd0e40ddb6839fc1",
+    "96642fc85e0b0459",
+    "3f9f3f53bb83a415",
+    "b3d0f1563f20a319",
+    "dcac064f38e92107",
+    "48aaa7e0f40182ed",
+    "7277a8ac39808e48",
+    "e0daf6f741773088",
+    "c3fe98ac041537c6",
 ]
 
 # the 13-node tree GRAPHS[20]: run_cds's connector paths use an edge more

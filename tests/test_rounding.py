@@ -408,17 +408,18 @@ class TestClosedForm:
 
 def scan_decisions(inst, order):
     """derandomize's ``(v, s0, s1, coin)`` decisions, with every branch
-    expectation taken by :func:`scan_expected_value` from a dict of fixes."""
+    expectation taken by :func:`scan_expected_value` from a dict of fixes,
+    and each sum in units of n^-10."""
     n = max(inst.graph.n, 2)
     fixed, out = {}, []
     for v in order:
         sums = []
         for coin in (0, 1):
             fixed[v] = coin
-            total = Fraction(0)
+            total = 0
             for u in inst.graph.closed_neighbors(v):
                 alpha = Fraction(*scan_expected_value(inst, fixed, u))
-                total += Fraction(math.ceil(alpha * n**10), n**10)
+                total += math.ceil(alpha * n**10)
             sums.append(total)
         fixed[v] = coin = 1 if sums[1] < sums[0] else 0
         out.append((v, sums[0], sums[1], coin))
