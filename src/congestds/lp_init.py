@@ -12,7 +12,11 @@ HiGHS is scipy's bundled binding, loaded from its file in scipy's install
 tree under its own module name, so that none of scipy's package imports run
 (they cost four times the rest of ``import congestds``); a later
 ``import scipy.optimize`` reuses the loaded module.  Where the file cannot
-be loaded on its own, the binding comes from the ordinary import.
+be loaded on its own, the binding comes from the ordinary import.  The
+model is built through the binding's scalar- and list-typed calls only:
+its array-typed ones (the ``col_cost_`` property, ``addCols``,
+``changeColsCost`` and the like) import numpy on first use, even when given
+a list, and numpy would then cost more than the rest of the import.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ from itertools import accumulate
 from pathlib import Path
 from types import ModuleType
 from typing import List, Tuple
-
-# the binding holds col_cost_ as a numpy array, and would otherwise import
-# numpy on the first solve
-import numpy as np
 
 from .errors import DomainError, StructuralError
 from .graph import Graph
@@ -83,6 +83,21 @@ highs = _load_highs()
 IPM_MIN_NODES = 150
 
 
+def _options(solver: str):
+    """Silent HiGHS options with presolve and dual simplex, for *solver*."""
+    options = highs.HighsOptions()
+    options.presolve, options.highs_debug_level = "on", 0
+    options.output_flag = options.log_to_console = False
+    options.simplex_strategy = 1  # kSimplexStrategyDual
+    options.solver = solver
+    return options
+
+
+#: options of the two sides of IPM_MIN_NODES, built once; each solve passes
+#: one of them to its own fresh solver
+SIMPLEX_OPTIONS, IPM_OPTIONS = _options("choose"), _options("ipm")
+
+
 def lp_round_charge(eps: Fraction, delta: int) -> int:
     """Charged rounds of the cited distributed LP solver for
     :func:`initial_fds` at *eps*: it runs at tolerance tol = eps/2 and takes
@@ -112,30 +127,38 @@ def _solve_covering_lp(graph: Graph) -> List[float]:
     """HiGHS's optimal x for min sum(x) s.t. -A x <= -1 and 0 <= x <= 1, A
     the inclusive-neighborhood matrix, set up as scipy's LP wrapper sets it."""
     n = graph.n
-    lp = highs.HighsLp()
+    solver = highs._Highs()
+    solver.passOptions(IPM_OPTIONS if n >= IPM_MIN_NODES else SIMPLEX_OPTIONS)
+    # the columns with their bounds one at a time (the array-typed addVars
+    # would import numpy), then the rows and -A into the model HiGHS hands
+    # back, as lists, which the binding copies fastest
+    for _ in range(n):
+        solver.addVar(0.0, 1.0)
+    lp = solver.getLp()
     matrix = lp.a_matrix_
-    lp.num_col_ = lp.num_row_ = matrix.num_col_ = matrix.num_row_ = n
-    # col_cost_ is a numpy array; the other vectors are copied element by
-    # element, which is fastest from lists
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.ones(n), [0.0] * n, [1.0] * n
+    lp.num_row_ = matrix.num_row_ = n
     lp.row_lower_, lp.row_upper_ = [-highs.kHighsInf] * n, [-1.0] * n
     # -A is symmetric: column v (column-wise is the default) is -1 on N[v]
     index = [u for v in range(n) for u in graph.closed_neighbors(v)]
     matrix.start_ = [0, *accumulate(graph.degree(v) + 1 for v in range(n))]
     matrix.index_, matrix.value_ = index, [-1.0] * len(index)
-    options = highs.HighsOptions()
-    options.presolve, options.highs_debug_level = "on", 0
-    options.output_flag = options.log_to_console = False
-    options.simplex_strategy = 1  # kSimplexStrategyDual
-    options.solver = "ipm" if n >= IPM_MIN_NODES else "choose"
-    solver = highs._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
-    solver.run()
+    _check("passModel", solver.passModel(lp))
+    # the all-ones cost as the one linear objective, which HiGHS copies
+    # into the model's col_cost_ when it runs
+    cost = highs.HighsLinearObjective()
+    cost.weight, cost.coefficients = 1.0, [1.0] * n
+    _check("addLinearObjective", solver.addLinearObjective(cost))
+    _check("run", solver.run())
     if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
         status = solver.modelStatusToString(solver.getModelStatus())
         raise StructuralError(f"covering LP failed: {status}")
     return solver.getSolution().col_value
+
+
+def _check(call: str, status) -> None:
+    """Raise unless the binding's *call* returned ``kOk``."""
+    if status != highs.HighsStatus.kOk:
+        raise StructuralError(f"covering LP: HiGHS {call} returned {status.name}")
 
 
 def _lp_solution(graph: Graph) -> Tuple[int, ...]:

@@ -3,8 +3,9 @@ definitions only tests use are listed, every library exception class is
 raised somewhere, no function keeps a functools cache, the derandomizers
 leave coin fixing to rounding, the expectation oracle builds no Fraction,
 no value is brought to a common denominator, graph searches are left to
-``Graph.bfs_distances``, and only ``lp_init`` imports scipy and numpy, the
-dependencies, calling HiGHS directly rather than through ``linprog``."""
+``Graph.bfs_distances``, and only ``lp_init`` imports scipy, the one
+dependency, calling HiGHS directly rather than through ``linprog``; no
+module imports numpy."""
 
 import ast
 from pathlib import Path
@@ -471,10 +472,10 @@ def imported_packages(source: str):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_only_lp_init_imports_scipy(path):
-    """The covering LP is the library's one use of scipy; numpy is imported
-    only beside it, because the HiGHS binding holds the LP's cost vector as
-    a numpy array."""
-    allowed = {"scipy", "numpy"} if path.name == "lp_init.py" else set()
+    """The covering LP is the library's one use of scipy, and no module
+    imports numpy: the LP is built through the HiGHS binding's scalar- and
+    list-typed calls."""
+    allowed = {"scipy"} if path.name == "lp_init.py" else set()
     packages = imported_packages(path.read_text(encoding="utf-8"))
     assert packages & {"numpy", "scipy"} <= allowed
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.optimize._highspy import _core as highs
 import congestds.lp_init as lp_init
 from congestds.errors import StructuralError
 from congestds.generators import complete, generate_graph, petersen
-from congestds.graph import Graph
+from congestds.graph import Graph, format_graph
 from congestds.lp_init import (
     IPM_MIN_NODES,
     initial_fds,
@@ -146,6 +147,57 @@ class TestSolverSplit:
         assert all(o.presolve == "on" and o.simplex_strategy == 1 for o in options)
         assert not any(o.output_flag or o.log_to_console for o in options)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            petersen(),
+            Graph(3, [(0, 1)]),
+            generate_graph("path", {"n": IPM_MIN_NODES - 1}),
+            generate_graph("path", {"n": IPM_MIN_NODES}),
+        ],
+        ids=["petersen", "edge+isolated", "path-simplex", "path-ipm"],
+    )
+    def test_same_model_as_the_array_build(self, monkeypatch, graph):
+        """The model HiGHS holds after the solve is the one the library
+        built before through the binding's array-typed ``col_cost_``."""
+        solvers = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(highs, name)
+
+            def _Highs(self):
+                solvers.append(highs._Highs())
+                return solvers[-1]
+
+        monkeypatch.setattr(lp_init, "highs", Recording())
+        lp_init._solve_covering_lp(graph)
+        assert _model(solvers[0].getLp()) == _model(_array_lp(graph))
+
+    @pytest.mark.parametrize("call", ["passModel", "addLinearObjective", "run"])
+    def test_binding_error_raises(self, monkeypatch, call):
+        """A call that the binding rejects raises an error naming it, not the
+        repair's error on the all-zero floats of a model without rows."""
+
+        class Failing:
+            def __init__(self):
+                self.solver = highs._Highs()
+
+            def __getattr__(self, name):
+                if name == call:
+                    return lambda *args: highs.HighsStatus.kError
+                return getattr(self.solver, name)
+
+        class Binding:
+            def __getattr__(self, name):
+                return getattr(highs, name)
+
+            _Highs = Failing
+
+        monkeypatch.setattr(lp_init, "highs", Binding())
+        with pytest.raises(StructuralError, match=f"HiGHS {call} returned kError"):
+            lp_init._lp_solution(petersen())
+
     @pytest.mark.parametrize("side", ["simplex", "ipm"])
     def test_direct_solve_equals_linprog(self, side):
         """The direct HiGHS solve returns exactly the floats of public
@@ -183,6 +235,39 @@ def _linprog_x(graph):
     )
     assert res.success
     return res.x
+
+
+def _array_lp(graph):
+    """The covering LP as the library built it through the binding's
+    array-typed ``col_cost_``, which takes only a numpy array."""
+    n = graph.n
+    lp = highs.HighsLp()
+    matrix = lp.a_matrix_
+    lp.num_col_ = lp.num_row_ = matrix.num_col_ = matrix.num_row_ = n
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = np.ones(n), [0.0] * n, [1.0] * n
+    lp.row_lower_, lp.row_upper_ = [-highs.kHighsInf] * n, [-1.0] * n
+    index = [u for v in range(n) for u in graph.closed_neighbors(v)]
+    matrix.start_ = [0, *accumulate(graph.degree(v) + 1 for v in range(n))]
+    matrix.index_, matrix.value_ = index, [-1.0] * len(index)
+    return lp
+
+
+def _model(lp):
+    """The fields of a ``HighsLp`` that make up the covering LP."""
+    matrix = lp.a_matrix_
+    return {
+        "num_col_": lp.num_col_,
+        "num_row_": lp.num_row_,
+        "col_cost_": [float(c) for c in lp.col_cost_],
+        "col_lower_": list(lp.col_lower_),
+        "col_upper_": list(lp.col_upper_),
+        "row_lower_": list(lp.row_lower_),
+        "row_upper_": list(lp.row_upper_),
+        "format_": matrix.format_,
+        "start_": list(matrix.start_),
+        "index_": list(matrix.index_),
+        "value_": list(matrix.value_),
+    }
 
 
 def _random_graphs(rng, count, lo, hi):
@@ -290,15 +375,21 @@ json.dump({
 def _fresh(code):
     """stdout of *code* run by a fresh interpreter that imports this
     checkout's ``congestds`` and the test helpers."""
+    return _fresh_run("-c", code).stdout
+
+
+def _fresh_run(*args):
+    """A fresh interpreter run with *args*, importing this checkout's
+    ``congestds`` and the test helpers; it must exit with code 0."""
     tests = Path(__file__).resolve().parent
     path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, *args], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done
 
 
 class TestHighsLoader:
@@ -314,8 +405,39 @@ class TestHighsLoader:
         for package in ("scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse"):
             assert package not in loaded
         assert lp_init.HIGHS_MODULE in loaded
-        # numpy comes with the import, not with the first solve
-        assert "numpy" in loaded
+        assert "numpy" not in loaded
+
+    def test_solves_import_no_numpy(self):
+        """Neither a simplex-side nor an interior-point-side solve loads
+        numpy."""
+        loaded = json.loads(_fresh(
+            "import json, sys\n"
+            "from fractions import Fraction\n"
+            "from corpus_util import relabelled_sparse\n"
+            "from congestds.generators import generate_graph\n"
+            "from congestds.lp_init import lp_fractional_opt\n"
+            "from congestds.pipeline import run_mds_n\n"
+            "seen = []\n"
+            "run_mds_n(generate_graph('path', {'n': 10}), Fraction(1, 2))\n"
+            "seen.append('numpy' in sys.modules)\n"
+            "lp_fractional_opt(relabelled_sparse('numpy', 200, 3.0))\n"
+            "seen.append('numpy' in sys.modules)\n"
+            "json.dump(seen, sys.stdout)\n"
+        ))
+        assert 200 >= IPM_MIN_NODES > 10
+        assert loaded == [False, False]
+
+    def test_cli_imports_no_numpy(self, tmp_path):
+        path = tmp_path / "petersen.txt"
+        path.write_text(format_graph(petersen()))
+        done = _fresh_run(
+            "-X", "importtime", "-m", "congestds.cli", "mds-delta",
+            "--input", str(path),
+        )
+        assert "valid=True" in done.stdout
+        imported = [line.split("|")[-1].strip() for line in done.stderr.splitlines()]
+        assert "congestds.lp_init" in imported
+        assert not [m for m in imported if m.split(".")[0] == "numpy"]
 
     def test_scipy_before_or_after_shares_the_binding(self):
         after = json.loads(_fresh(REPORT))
